@@ -24,14 +24,11 @@ from .ostrowski import decode, delta_T_default, encode, n_star
 from .products import b_transfer, log_sudler, scan
 from .theorems import (
     PENALTY_LOWER_CONSTANT,
-    REGIME_OUT,
-    d_k_terms,
     e_k_residual,
+    lcnorm_prediction,
     log_sin_integral,
-    theorem1_budget_shape,
-    theorem1_formula_shape,
-    theorem2_budget_shape,
-    theorem3_budget_shape,
+    pnstar_prediction,
+    theorem1_check,
     u_n_log,
 )
 
@@ -131,69 +128,40 @@ def _split_budget(max_resid: float, max_ratio: float) -> dict:
     }
 
 
+# Unit constants make each report's error_budget exactly its budget shape.
+_UNIT = {"C_cal": 1.0, "C_alpha": 0.0}
+
+
 def _theorem1() -> dict:
-    T = 1.0
     table = build_table("[0;(10)]", 4)
     K = 3
-    values = scan(table, K, keep_values=True).values
-    star_log = values[decode(n_star(table, K))]
-    base_shape = theorem1_budget_shape(table, K)
-    worst_resid, worst_ratio = 0.0, 0.0
-    for N in range(int(table.q[K])):
-        digits = encode(table, N, K=K)
-        terms = d_k_terms(table, digits, K, T)
-        pred = -sum(t.value for t in terms)
-        obs = float(values[N] - star_log)
-        if any(t.regime == REGIME_OUT for t in terms):
-            resid = max(0.0, obs - pred)  # lower-bound regime: one-sided
-        else:
-            resid = abs(obs - pred)
-        shape = theorem1_formula_shape(terms) + base_shape
-        worst_resid = max(worst_resid, resid)
-        worst_ratio = max(worst_ratio, resid / shape)
-    return _split_budget(worst_resid, worst_ratio)
+    reports = theorem1_check(table, K, range(int(table.q[K])), {"theorem1": _UNIT})
+    return _split_budget(max(r.residual for r in reports),
+                         max(r.residual / r.error_budget for r in reports))
 
 
 def _theorem2() -> dict:
-    T = 1.0
     table = build_table("[0;(30)]", 4)
     K = 3
     cs = (0.05, 0.5, 1.0, 2.0, 8.0, 64.0)
     res = scan(table, K, c_list=cs)
-    star_log = log_sudler(table, decode(n_star(table, K))).require_nonzero()
-    resids = {}
-    for c in cs:
-        observed = res.sums[c] / c
-        pred = star_log + sum(
-            math.log(2.0 * table.a[k] / (math.sqrt(3.0) * c)) for k in range(1, K + 1)
-        ) / (2.0 * c)
-        resids[c] = abs(pred - observed)
+    reports = {c: lcnorm_prediction(table, K, c, {"theorem2": _UNIT}, scan_result=res)
+               for c in cs}
     # Anchor the c-independent constant at the largest c (where the shape sum
     # is smallest); the c-dependent constant then covers the small-c residuals.
-    C_alpha = max(MARGIN * resids[max(cs)], 0.05)
+    C_alpha = max(MARGIN * reports[max(cs)].residual, 0.05)
     C_cal = max(
-        max(0.0, MARGIN * r - C_alpha) / theorem2_budget_shape(table, K, c)
-        for c, r in resids.items()
+        max(0.0, MARGIN * r.residual - C_alpha) / r.error_budget
+        for r in reports.values()
     )
     return {"C_cal": max(C_cal, 0.01), "C_alpha": C_alpha}
 
 
 def _theorem3() -> dict:
-    from .theorems import vol41
-
-    v = vol41() / (4.0 * math.pi)
-    worst_resid, worst_ratio = 0.0, 0.0
-    for a in (30, 50):
-        table = build_table(f"[0;({a})]", 4)
-        K = 3
-        observed = log_sudler(table, decode(n_star(table, K))).require_nonzero()
-        pred = v * sum(table.a[k] for k in range(1, K + 1)) + 0.5 * sum(
-            math.log(table.a[k]) for k in range(1, K + 1)
-        )
-        resid = abs(pred - observed)
-        worst_resid = max(worst_resid, resid)
-        worst_ratio = max(worst_ratio, resid / theorem3_budget_shape(table, K))
-    return _split_budget(worst_resid, worst_ratio)
+    reports = [pnstar_prediction(build_table(f"[0;({a})]", 4), 3, {"theorem3": _UNIT})
+               for a in (30, 50)]
+    return _split_budget(max(r.residual for r in reports),
+                         max(r.residual / r.error_budget for r in reports))
 
 
 def _argmax_distances() -> dict:
@@ -232,10 +200,9 @@ def _ek_residual() -> dict:
 
 
 def _un_residual() -> dict:
-    T = 1.0
     table = build_table("[0;(20)]", 5)
     K = 4
-    cutoff = (1.0 - delta_T_default(T)) * 20
+    cutoff = (1.0 - delta_T_default(1.0)) * 20
     rng = np.random.default_rng(20)
     resids = []
     for N in rng.integers(0, int(table.q[K]), size=60):

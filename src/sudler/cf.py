@@ -188,8 +188,9 @@ class ConvergentTable:
     theta[k] is the signed distance |q_k alpha - p_k|, which equals
     ||q_k alpha|| for every k >= 1 and also at k = 0 unless a_1 = 1.
 
-    Immutable after construction; safe to share across threads.  The float64
-    fractional-part cache is append-only and guarded for concurrent reads.
+    Immutable after construction apart from the float64 fractional-part
+    cache, which grows by replacing its array and has no lock.  `scan` fills
+    it before it starts its thread pool, so its workers only read it.
     """
 
     def __init__(self, alpha: AlphaSpec, K_max: int, cfg: PrecisionConfig,

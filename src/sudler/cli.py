@@ -25,6 +25,7 @@ from .theorems import (
     PredictionReport,
     bernoulli_b2_closed_forms,
     bernoulli_b2_integrals,
+    fixture_value,
     lcnorm_prediction,
     pnstar_prediction,
     theorem1_check,
@@ -35,24 +36,31 @@ SUITES = ("constants", "decomp", "theorem1", "theorem2", "theorem3", "limits")
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError("grid must be lo:hi:step")
-    lo, hi, step = (float(p) for p in parts)
-    if step <= 0 or hi < lo:
-        raise ValueError("grid requires step > 0 and hi >= lo")
-    # Inclusive of lo; the step/2 guard keeps hi itself despite rounding.
-    return np.arange(lo, hi + step / 2.0, step)
+    try:
+        lo, hi, step = (float(p) for p in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"grid must be lo:hi:step, got {text!r}") from None
+    if not (0 < step < math.inf and -math.inf < lo <= hi < math.inf):
+        raise argparse.ArgumentTypeError("grid requires finite lo <= hi and step > 0")
+    # Points lo + i*step up to hi inclusive; the tolerance keeps hi itself
+    # when (hi - lo)/step rounds just below an integer.
+    n = math.floor((hi - lo) / step + 1e-9) + 1
+    return np.arange(lo, lo + (n - 0.5) * step, step)
 
 
-def _default_bits() -> int:
-    return int(os.environ.get("SUDLER_BITS", "256"))
+def _parse_c_list(text: str) -> tuple:
+    try:
+        return tuple(float(c) for c in text.split(",")) if text else ()
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _add_common(sub, alpha_default=None):
     sub.add_argument("--alpha", default=alpha_default,
                      required=alpha_default is None, help="alpha specification")
-    sub.add_argument("--bits", type=int, default=_default_bits(),
+    # A string default goes through type=int too, so a bad SUDLER_BITS exits 2.
+    sub.add_argument("--bits", type=int, default=os.environ.get("SUDLER_BITS", "256"),
                      help="working precision in bits (env SUDLER_BITS)")
 
 
@@ -90,8 +98,7 @@ def cmd_ostrowski(args) -> int:
 
 def cmd_scan(args) -> int:
     table = _table(args, args.K)
-    c_list = tuple(float(c) for c in args.c.split(",")) if args.c else ()
-    res = scan(table, args.K, c_list=c_list, parallelism=args.parallelism,
+    res = scan(table, args.K, c_list=args.c, parallelism=args.parallelism,
                top_m=args.top, budget=args.budget)
     if args.out:
         serialize.dump_json(serialize.scan_result_to_dict(res), args.out)
@@ -105,7 +112,7 @@ def cmd_scan(args) -> int:
 
 def cmd_cotangent(args) -> int:
     table = _table(args, max(args.k, 2))
-    grid = args.grid_values
+    grid = args.grid
     rows = []
     for x in grid:
         val = (v_k_star(table, args.k, float(x)) if args.starred
@@ -122,7 +129,7 @@ def cmd_cotangent(args) -> int:
 
 def cmd_limitfn(args) -> int:
     table = _table(args, args.k)
-    grid = args.grid_values
+    grid = args.grid
     emp = empirical_limit(table, args.k, grid, budget=args.budget)
     two_sin = np.abs(2.0 * np.sin(np.pi * grid))
     if args.closed_form:
@@ -146,13 +153,9 @@ def cmd_limitfn(args) -> int:
     return 0
 
 
-def _figures_grid(args) -> np.ndarray:
-    return args.grid_values if args.grid else _parse_grid("-1:1:0.005")
-
-
 def cmd_figures(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    grid = _figures_grid(args)
+    grid = args.grid
     if args.which == "fig1":
         cols = {}
         for a in (5, 15, 50):
@@ -224,32 +227,29 @@ def _suite_theorem1(args, fixtures) -> list[PredictionReport]:
     else:
         rng = np.random.default_rng(args.seed)
         sample = sorted(int(n) for n in rng.integers(0, q_K, size=512))
-    return theorem1_check(table, args.K, args.T, sample, fixtures)
+    return theorem1_check(table, args.K, sample, fixtures)
 
 
 def _suite_theorem2(args, fixtures) -> list[PredictionReport]:
     table = _table(args, args.K + 1)
-    cs = tuple(float(c) for c in args.c.split(",")) if args.c else (0.5, 2.0, 64.0)
+    cs = args.c or (0.5, 2.0, 64.0)
     res = scan(table, args.K, c_list=cs)
-    return [lcnorm_prediction(table, args.K, c, args.T, fixtures, scan_result=res)
-            for c in cs]
+    return [lcnorm_prediction(table, args.K, c, fixtures, scan_result=res) for c in cs]
 
 
 def _suite_theorem3(args, fixtures) -> list[PredictionReport]:
     table = _table(args, args.K + 1)
-    return [pnstar_prediction(table, args.K, args.T, fixtures)]
+    return [pnstar_prediction(table, args.K, fixtures)]
 
 
 def _suite_limits(args, fixtures) -> list[PredictionReport]:
+    budget = fixture_value(fixtures, "limit_curve", "a15_k4_sup")
     grid = np.round(np.arange(-0.95, 0.9501, 0.01), 10)
     table15 = build_table("[0;(15)]", 4)
     sup = float(np.max(np.abs(
         empirical_limit(table15, 4, grid) - g_alpha(15, grid)
     )))
-    reports = [PredictionReport.make(
-        "a=15 k=4 curve vs closed form", 0.0, sup,
-        fixtures["limit_curve"]["a15_k4_sup"],
-    )]
+    reports = [PredictionReport.make("a=15 k=4 curve vs closed form", 0.0, sup, budget)]
     table250 = build_table("[0;(2,50)]", 5)
     cross_grid = np.round(np.arange(0.5, 1.0001, 0.005), 10)
     c4 = crossing_abscissa(cross_grid, empirical_limit(table250, 4, cross_grid))
@@ -281,7 +281,6 @@ def cmd_verify(args) -> int:
             "suite": args.suite,
             "alpha": args.alpha,
             "K": args.K,
-            "T": args.T,
             "pass": ok,
             "reports": [
                 {k: (serialize.float_to_hex(v) if isinstance(v, float) else v)
@@ -315,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("scan", help="sweep N < q_K for max and c-norm sums")
     _add_common(s)
     s.add_argument("--K", type=int, required=True)
-    s.add_argument("--c", default="", help="comma-separated norm exponents")
+    s.add_argument("--c", type=_parse_c_list, default="",
+                   help="comma-separated norm exponents")
     s.add_argument("--parallelism", type=int, default=1)
     s.add_argument("--top", type=int, default=32)
     s.add_argument("--budget", type=int, default=10 ** 7)
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("cotangent", help="sine-weighted cotangent sums on a grid")
     _add_common(s)
     s.add_argument("--k", type=int, required=True)
-    s.add_argument("--grid", required=True)
+    s.add_argument("--grid", type=_parse_grid, required=True)
     s.add_argument("--starred", action="store_true")
     s.add_argument("--out")
     s.set_defaults(fn=cmd_cotangent)
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("limitfn", help="empirical limit curve, optionally vs closed form")
     _add_common(s)
     s.add_argument("--k", type=int, required=True)
-    s.add_argument("--grid", required=True)
+    s.add_argument("--grid", type=_parse_grid, required=True)
     s.add_argument("--closed-form", action="store_true")
     s.add_argument("--budget", type=int, default=10 ** 7)
     s.add_argument("--out")
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("figures", help="CSV data behind the reference figures")
     s.add_argument("--which", choices=("fig1", "fig2", "fig3"), required=True)
     s.add_argument("--out", required=True, help="output directory")
-    s.add_argument("--grid", default=None)
+    s.add_argument("--grid", type=_parse_grid, default="-1:1:0.005")
     s.add_argument("--budget", type=int, default=10 ** 7)
     s.set_defaults(fn=cmd_figures)
 
@@ -350,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s, alpha_default="[0;(10)]")
     s.add_argument("--suite", choices=SUITES, required=True)
     s.add_argument("--K", type=int, default=3)
-    s.add_argument("--T", type=float, default=1.0)
-    s.add_argument("--c", default="")
+    s.add_argument("--c", type=_parse_c_list, default="",
+                   help="comma-separated norm exponents")
     s.add_argument("--fixtures", default=None)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out")
@@ -374,12 +374,6 @@ def main(argv=None) -> int:
             argv[i : i + 2] = [f"--grid={argv[i + 1]}"]
             break
     args = ap.parse_args(argv)
-    for attr in ("grid",):
-        if hasattr(args, attr) and getattr(args, attr):
-            try:
-                args.grid_values = _parse_grid(getattr(args, attr))
-            except ValueError as exc:
-                ap.error(str(exc))  # exits 2
     try:
         return args.fn(args)
     except SudlerError as exc:

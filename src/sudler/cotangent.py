@@ -16,11 +16,8 @@ from .errors import BudgetError, PoleError, RangeError
 
 COTANGENT_BUDGET = 10 ** 7
 
-KIND_C = "C_k"
 KIND_V = "V_k"
 KIND_V_STAR = "V_k_star"
-
-_EULER_GAMMA = 0.5772156649015328606065120900824024
 
 # Bernoulli numbers B_2..B_16 for the asymptotic digamma tail.
 _BERNOULLI = (
@@ -134,7 +131,3 @@ def v_k_main_term(table: ConvergentTable, k: int, x: float,
     return float(table.delta[k]) * (
         math.log(a_k / (2.0 * math.pi)) - digamma(shift + float(x))
     )
-
-
-def euler_gamma() -> float:
-    return _EULER_GAMMA

@@ -62,23 +62,11 @@ def _check_range(table: ConvergentTable, N: int):
 
 def log_sudler(table: ConvergentTable, N: int) -> LogProduct:
     """log prod_{n=1..N} |2 sin(pi n alpha)|; the empty product is 0."""
-    N = int(N)
-    _check_range(table, N)
-    if N == 0:
-        return LogProduct(0.0, 0, METHOD_DIRECT)
-    y = table.frac_doubles(N + 1)[1:]
-    zeros = 0
-    parts = []
-    for lo in range(0, N, CHUNK):
-        g, z = log_two_sin(y[lo:lo + CHUNK])
-        zeros += z
-        parts.append(float(np.sum(g)))
-    return LogProduct(kahan_sum(parts), N, METHOD_DIRECT, zeros)
+    return log_sudler_shifted(table, N, 0.0)
 
 
-def log_sudler_shifted(table: ConvergentTable, M: int, x: float,
-                       sign: int = 1) -> LogProduct:
-    """log prod_{n=1..M} |2 sin(pi (n alpha + sign*x))|.
+def log_sudler_shifted(table: ConvergentTable, M: int, x: float) -> LogProduct:
+    """log prod_{n=1..M} |2 sin(pi (n alpha + x))|.
 
     Callers supply the full shift (the decomposition passes (-1)^k x / q_k).
     """
@@ -86,8 +74,7 @@ def log_sudler_shifted(table: ConvergentTable, M: int, x: float,
     _check_range(table, M)
     if M == 0:
         return LogProduct(0.0, 0, METHOD_DIRECT)
-    shift = float(sign) * float(x)
-    y = table.frac_doubles(M + 1)[1:] + shift
+    y = table.frac_doubles(M + 1)[1:] + float(x)
     zeros = 0
     if table.is_rational:
         # Exact-residue fractional parts plus a shift can land exactly on an

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from scipy.integrate import quad
 
 from .cf import ConvergentTable
 from .cotangent import v_k
@@ -21,8 +20,12 @@ from .errors import RangeError, SudlerError
 from .ostrowski import OstrowskiDigits, decode, encode, epsilon_profile, n_star, project
 from .products import log_sudler, log_sudler_shifted, scan
 
-_CUT = 1e-3  # splinter width around the log singularities of log|2 sin(pi x)|
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
+# zeta(2n) / (n (2n + 1)), n = 1..25: the Clausen-series coefficients.  At
+# y = 1/2 the 26th term is below 1e-19.
+with mpmath.workprec(80):
+    _CLAUSEN_COEFFS = tuple(
+        float(mpmath.zeta(2 * n) / (n * (2 * n + 1))) for n in range(1, 26)
+    )
 
 QUADRATIC_CONSTANT = math.pi * math.sqrt(3.0) / 2.0
 PENALTY_LOWER_CONSTANT = 0.2326
@@ -36,18 +39,17 @@ REGIME_OUT = "out-of-regime"
 
 
 def _F_half(y: float) -> float:
-    """int_0^y log(2 sin(pi x)) dx for 0 <= y <= 1/2."""
+    """int_0^y log(2 sin(pi x)) dx = -Cl_2(2 pi y) / (2 pi) for 0 <= y <= 1/2.
+
+    Series: y (log(2 pi y) - 1) - sum_n zeta(2n) y^(2n+1) / (n (2n+1)).
+    """
     if y == 0.0:
         return 0.0
-    if y <= _CUT:
-        analytic = y * (math.log(2.0 * math.pi * y) - 1.0)
-        resid = quad(lambda t: math.log(np.sinc(t)) if t else 0.0, 0.0, y,
-                     **_QUAD_OPTS)[0]
-        return analytic + resid
-    head = _F_half(_CUT)
-    mid = quad(lambda t: math.log(2.0 * math.sin(math.pi * t)), _CUT, y,
-               **_QUAD_OPTS)[0]
-    return head + mid
+    y2 = y * y
+    tail = 0.0
+    for c in reversed(_CLAUSEN_COEFFS):
+        tail = tail * y2 + c
+    return y * (math.log(2.0 * math.pi * y) - 1.0) - tail * y * y2
 
 
 def _F(y: float) -> float:
@@ -60,7 +62,7 @@ def _F(y: float) -> float:
 
 
 def log_sin_integral(y0: float, y1: float) -> float:
-    """int_{y0}^{y1} log|2 sin(pi x)| dx with singularity-aware quadrature."""
+    """int_{y0}^{y1} log|2 sin(pi x)| dx from the Clausen series."""
     return _F(float(y1)) - _F(float(y0))
 
 
@@ -146,8 +148,7 @@ class DkTerm:
         return self.main
 
 
-def d_k_terms(table: ConvergentTable, digits: OstrowskiDigits, K: int,
-              T: float) -> list[DkTerm]:
+def d_k_terms(table: ConvergentTable, digits: OstrowskiDigits, K: int) -> list[DkTerm]:
     """Per-digit penalty terms for the drop log P_N - log P_{N*}."""
     if digits.K != K:
         raise RangeError(f"digit vector has length {digits.K}, expected {K}")
@@ -246,14 +247,13 @@ class PredictionReport:
     @staticmethod
     def make(label: str, prediction: float, observed: float,
              error_budget: float, one_sided: bool = False) -> "PredictionReport":
-        # One-sided reports assert observed <= prediction + budget, for cases
-        # where the formula is only an upper bound on the observable.
-        if one_sided:
-            ok = observed - prediction <= error_budget
-        else:
-            ok = abs(prediction - observed) <= error_budget
+        ok = _residual(prediction, observed, one_sided) <= error_budget
         return PredictionReport(label, prediction, observed, error_budget, ok,
                                 one_sided)
+
+    @property
+    def residual(self) -> float:
+        return _residual(self.prediction, self.observed, self.one_sided)
 
     def as_dict(self) -> dict:
         return {
@@ -266,14 +266,25 @@ class PredictionReport:
         }
 
 
-def _fixture_pair(fixtures: dict, key: str) -> tuple[float, float]:
+def _residual(prediction: float, observed: float, one_sided: bool) -> float:
+    # One-sided reports assert observed <= prediction + budget, for cases
+    # where the formula is only an upper bound on the observable.
+    if one_sided:
+        return max(0.0, observed - prediction)
+    return abs(prediction - observed)
+
+
+def fixture_value(fixtures: dict, key: str, field: str) -> float:
     try:
-        entry = fixtures[key]
-        return float(entry["C_cal"]), float(entry["C_alpha"])
-    except (KeyError, TypeError) as exc:
+        return float(fixtures[key][field])
+    except (KeyError, TypeError, ValueError) as exc:
         raise SudlerError(
-            f"calibration fixtures missing entry {key!r}; run `sudler calibrate`"
+            f"calibration fixtures lack a numeric {key}.{field}; run `sudler calibrate`"
         ) from exc
+
+
+def _fixture_pair(fixtures: dict, key: str) -> tuple[float, float]:
+    return fixture_value(fixtures, key, "C_cal"), fixture_value(fixtures, key, "C_alpha")
 
 
 def theorem1_budget_shape(table: ConvergentTable, K: int) -> float:
@@ -316,8 +327,7 @@ def theorem3_budget_shape(table: ConvergentTable, K: int) -> float:
     )
 
 
-def pnstar_prediction(table: ConvergentTable, K: int, T: float,
-                      fixtures: dict) -> PredictionReport:
+def pnstar_prediction(table: ConvergentTable, K: int, fixtures: dict) -> PredictionReport:
     """Main-term value of log P at the near-maximizer digit vector vs. direct evaluation."""
     star = n_star(table, K)
     observed = log_sudler(table, decode(star)).require_nonzero()
@@ -330,8 +340,8 @@ def pnstar_prediction(table: ConvergentTable, K: int, T: float,
     return PredictionReport.make(f"pnstar K={K}", prediction, observed, budget)
 
 
-def lcnorm_prediction(table: ConvergentTable, K: int, c: float, T: float,
-                      fixtures: dict, scan_result=None) -> PredictionReport:
+def lcnorm_prediction(table: ConvergentTable, K: int, c: float, fixtures: dict,
+                      scan_result=None) -> PredictionReport:
     """Predicted c-norm of the scan against the log-sum-exp accumulator."""
     c = float(c)
     if c < 0.01:
@@ -349,8 +359,7 @@ def lcnorm_prediction(table: ConvergentTable, K: int, c: float, T: float,
     return PredictionReport.make(f"lcnorm K={K} c={c}", prediction, observed, budget)
 
 
-def theorem1_check(table: ConvergentTable, K: int, T: float, sample,
-                   fixtures: dict,
+def theorem1_check(table: ConvergentTable, K: int, sample, fixtures: dict,
                    values: np.ndarray | None = None) -> list[PredictionReport]:
     """Digit-penalty prediction of log P_N - log P_{N*} over a sample of N.
 
@@ -369,7 +378,7 @@ def theorem1_check(table: ConvergentTable, K: int, T: float, sample,
     for N in sample:
         digits = encode(table, N, K=K)
         observed = float(values[N]) - star_log
-        terms = d_k_terms(table, digits, K, T)
+        terms = d_k_terms(table, digits, K)
         one_sided = any(t.regime == REGIME_OUT for t in terms)
         prediction = -sum(t.value for t in terms)
         budget = C_cal * (theorem1_formula_shape(terms) + base_shape) + C_alpha

@@ -242,7 +242,7 @@ def test_criterion_7_theorem1(fx):
     t = build_table("[0;(10)]", 4)
     K = 3
     values = scan(t, K, keep_values=True).values
-    reports = theorem1_check(t, K, 1.0, range(int(t.q[K])), fx, values=values)
+    reports = theorem1_check(t, K, range(int(t.q[K])), fx, values=values)
     c.check("exhaustive N < q_3", all(r.passed for r in reports))
     c.check("sample size", len(reports) == int(t.q[K]))
     t50 = build_table("[0;(50)]", 4)
@@ -260,9 +260,9 @@ def test_criterion_8_theorems_2_3(fx):
     cs = (0.5, 2.0, 64.0)
     res = scan(t, K, c_list=cs)
     for cc in cs:
-        rep = lcnorm_prediction(t, K, cc, 1.0, fx, scan_result=res)
+        rep = lcnorm_prediction(t, K, cc, fx, scan_result=res)
         c.check(f"lcnorm c={cc}", rep.passed)
-    rep = pnstar_prediction(t, K, 1.0, fx)
+    rep = pnstar_prediction(t, K, fx)
     c.check("pnstar", rep.passed)
     proxy = res.sums[64.0] / 64.0
     c.check("c=64 within log(q_K)/64 of max",

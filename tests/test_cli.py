@@ -1,8 +1,23 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import sudler
 from sudler.calibration import load_fixtures, save_fixtures
-from sudler.cli import main
+from sudler.cli import _parse_grid, main
 from sudler.serialize import load_json, table_from_dict, table_to_dict
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(sudler.__file__)))
+
+
+def _python(args, **env):
+    """Run a fresh interpreter on this checkout's sources; returns the process."""
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": SRC, **env},
+    )
 
 
 def test_verify_constants_stdout(capsys):
@@ -143,3 +158,44 @@ def test_verify_report_json(tmp_path):
     assert doc["pass"] is True
     assert len(doc["reports"]) == 3
     assert all(r["pass"] for r in doc["reports"])
+
+
+@pytest.mark.parametrize("text, count, last", [
+    ("-0.95:0.95:0.25", 8, 0.8),
+    ("-0.9:0.9:0.05", 37, 0.9),
+    ("-1:1:0.005", 401, 1.0),
+])
+def test_grid_stays_within_hi(text, count, last):
+    grid = _parse_grid(text)
+    assert len(grid) == count
+    assert grid[-1] == pytest.approx(last, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["cf", "--alpha", "golden", "--K", "4"], {"SUDLER_BITS": "abc"}),
+    (["scan", "--alpha", "[0;(6)]", "--K", "3", "--c", "abc"], {}),
+    (["verify", "--suite", "theorem2", "--c", "abc"], {}),
+], ids=["bad-SUDLER_BITS", "scan-bad-c", "verify-bad-c"])
+def test_bad_argument_exits_2_without_traceback(argv, env):
+    proc = _python(["-m", "sudler.cli", *argv], **env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
+
+
+def test_fixtures_without_limit_curve_exit_1(tmp_path):
+    path = tmp_path / "fixtures.json"
+    fx = load_fixtures()
+    del fx["limit_curve"]
+    save_fixtures(fx, str(path))
+    proc = _python(["-m", "sudler.cli", "verify", "--suite", "limits",
+                    "--fixtures", str(path)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "limit_curve" in proc.stderr
+
+
+def test_package_imports_without_scipy():
+    proc = _python(["-c", "import sudler, sudler.cli, sys; assert not any("
+                          "m.split('.')[0] == 'scipy' for m in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr

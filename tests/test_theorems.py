@@ -56,9 +56,10 @@ class TestQuadrature:
         assert 9 * vol41() / (25 * math.pi) == pytest.approx(0.23260748, abs=1e-8)
 
     def test_against_clausen_oracle(self):
-        for y in (0.001, 1 / 6, 0.25, 0.5, 5 / 6, 0.999):
+        edges = (1e-9, 1e-3 - 1e-12, 1e-3 + 1e-12, 0.5 - 1e-12, 1.0 - 1e-9)
+        for y in [*np.linspace(0.0, 1.0, 1001), *edges]:
             assert log_sin_integral(0.0, y) == pytest.approx(
-                clausen_integral(y), abs=1e-10
+                clausen_integral(y), abs=1e-15
             )
 
     def test_full_period_vanishes(self):
@@ -99,7 +100,7 @@ class TestDkTerms:
     def test_zero_at_star(self):
         t = build_table("[0;(50)]", 4)
         star = n_star(t, 3)
-        for term in d_k_terms(t, star, 3, 1.0):
+        for term in d_k_terms(t, star, 3):
             assert term.main == 0.0 and term.quad == 0.0
 
     def test_quadratic_constant(self):
@@ -108,7 +109,7 @@ class TestDkTerms:
     def test_main_integral_case(self):
         t = build_table("[0;(50)]", 4)
         d = OstrowskiDigits((0, 41, 41), t)
-        term = d_k_terms(t, d, 3, 1.0)[0]
+        term = d_k_terms(t, d, 3)[0]
         assert term.main == pytest.approx(
             50 * log_sin_integral(0.0, 41.0 / 50.0), rel=1e-12
         )
@@ -120,7 +121,7 @@ class TestDkTerms:
             b_star = (5 * a) // 6
             for b in range(a):
                 d = OstrowskiDigits((0, b, 0), t)
-                term = d_k_terms(t, d, 3, 1.0)[1]
+                term = d_k_terms(t, d, 3)[1]
                 lower = PENALTY_LOWER_CONSTANT * (b - b_star) ** 2 / a
                 if term.regime != REGIME_OUT:
                     assert term.main >= lower - slack
@@ -128,7 +129,7 @@ class TestDkTerms:
     def test_regimes(self):
         t = build_table("[0;(100)]", 4)
         d = OstrowskiDigits((0, 100, 83), t)
-        terms = d_k_terms(t, d, 3, 1.0)
+        terms = d_k_terms(t, d, 3)
         assert terms[0].regime == REGIME_FORMULA  # |b - b*| = 83 too far for the quadratic tag
         assert terms[1].regime == REGIME_OUT  # carry digit, only the lower bound applies
         assert terms[2].regime == REGIME_QUADRATIC  # at the peak
@@ -136,7 +137,7 @@ class TestDkTerms:
     def test_formula_regime_tag(self):
         t = build_table("[0;(100)]", 4)
         d = OstrowskiDigits((0, 40, 0), t)
-        assert d_k_terms(t, d, 3, 1.0)[1].regime == REGIME_FORMULA
+        assert d_k_terms(t, d, 3)[1].regime == REGIME_FORMULA
 
 
 class TestBlockSurrogate:
@@ -179,21 +180,21 @@ class TestBlockSurrogate:
 class TestPredictions:
     def test_pnstar_a50_value(self, fixtures):
         t = build_table("[0;(50)]", 4)
-        rep = pnstar_prediction(t, 3, 1.0, fixtures)
+        rep = pnstar_prediction(t, 3, fixtures)
         assert rep.prediction == pytest.approx(30.098, abs=2e-3)
         assert rep.passed
 
     def test_pnstar_golden_formula_only(self, fixtures):
         # liminf regime: the formula degenerates to 0.161533 K; report only
         t = build_table("golden", 7)
-        rep = pnstar_prediction(t, 6, 1.0, fixtures)
+        rep = pnstar_prediction(t, 6, fixtures)
         assert rep.prediction == pytest.approx(0.161533 * 6, abs=1e-4)
         assert decode(n_star(t, 6)) == 0  # all digits floor(5/6) = 0
 
     def test_lcnorm_collapses_at_large_c(self, fixtures):
         t = build_table("[0;(30)]", 4)
         res = scan(t, 3, c_list=(64.0,))
-        rep = lcnorm_prediction(t, 3, 64.0, 1.0, fixtures, scan_result=res)
+        rep = lcnorm_prediction(t, 3, 64.0, fixtures, scan_result=res)
         star_log = log_sudler(t, decode(n_star(t, 3))).log_value
         assert abs(rep.prediction - star_log) < 0.05
         assert rep.passed
@@ -201,18 +202,18 @@ class TestPredictions:
     def test_lcnorm_rejects_tiny_c(self, fixtures):
         t = build_table("[0;(30)]", 4)
         with pytest.raises(Exception):
-            lcnorm_prediction(t, 3, 0.001, 1.0, fixtures)
+            lcnorm_prediction(t, 3, 0.001, fixtures)
 
     def test_theorem1_at_star_trivial(self, fixtures):
         t = build_table("[0;(10)]", 4)
         star_N = decode(n_star(t, 3))
-        rep = theorem1_check(t, 3, 1.0, [star_N], fixtures)[0]
+        rep = theorem1_check(t, 3, [star_N], fixtures)[0]
         assert rep.prediction == 0.0 and rep.observed == 0.0 and rep.passed
 
     def test_theorem1_out_of_regime_one_sided(self, fixtures):
         t = build_table("[0;(10)]", 4)
         N = decode(OstrowskiDigits((0, 10, 5), t))
-        rep = theorem1_check(t, 3, 1.0, [N], fixtures)[0]
+        rep = theorem1_check(t, 3, [N], fixtures)[0]
         assert rep.one_sided and rep.passed
 
     def test_quadratic_slope_recovery(self):
@@ -234,7 +235,7 @@ class TestPredictions:
     def test_formula_shape_components(self):
         t = build_table("[0;(100)]", 4)
         d = OstrowskiDigits((0, 0, 40), t)
-        terms = d_k_terms(t, d, 3, 1.0)
+        terms = d_k_terms(t, d, 3)
         shape = theorem1_formula_shape(terms)
         # two digits in the near-zero band contribute log(a) each
         assert shape > 2 * math.log(100)
