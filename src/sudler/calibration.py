@@ -70,6 +70,8 @@ def load_fixtures(path: str | None = None) -> dict:
         raise SudlerError(
             f"calibration fixtures not found at {path}; run `sudler calibrate`"
         ) from exc
+    except (OSError, ValueError) as exc:  # a directory, unreadable, or not JSON
+        raise SudlerError(f"cannot read calibration fixtures at {path}: {exc}") from exc
     return _decode_reals(raw)
 
 

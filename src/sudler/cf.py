@@ -24,7 +24,7 @@ from .errors import (
     RationalDepthError,
     SudlerError,
 )
-from .numerics import dd_from_mpf, frac_parts_dd
+from .numerics import CHUNK, dd_from_mpf, frac_parts_dd
 from .surd import Surd, periodic_tail, prepend_digits
 
 # Named digit generators for well-approximable test numbers.  Each maps the
@@ -257,36 +257,34 @@ class ConvergentTable:
     # --- cached float64 fractional parts for the product kernels ---
 
     def frac_doubles(self, n_hi: int) -> np.ndarray:
-        """Float64 array of {n*alpha} for n = 0 .. n_hi-1 (cached, grown on demand)."""
+        """Float64 array of {n*alpha} for n = 0 .. n_hi-1, cached, filled CHUNK at a time."""
         n_hi = int(n_hi)
-        if self._frac_cache is not None and len(self._frac_cache) >= n_hi:
-            return self._frac_cache[:n_hi]
-        grow = max(n_hi, 1024)
-        if self._frac_cache is not None:
-            grow = max(grow, 2 * len(self._frac_cache))
+        cache = self._frac_cache
+        have = 0 if cache is None else len(cache)
+        if have >= n_hi:
+            return cache[:n_hi]
+        grow = max(n_hi, 1024, 2 * have)
         grow = min(grow, max(n_hi, int(self.q[self.K_max])))
-        if self.is_rational:
-            arr = self._rational_fracs(grow)
-        else:
-            with mpmath.workprec(max(self.cfg.working_bits, 128)):
-                a_frac = self.alpha_value - mpmath.floor(self.alpha_value)
-            a_hi, a_lo = dd_from_mpf(a_frac)
-            arr = frac_parts_dd(np.arange(grow, dtype=np.int64), a_hi, a_lo)
+        arr = np.empty(grow, dtype=np.float64)
+        if cache is not None:
+            arr[:have] = cache
+        for lo in range(have, grow, CHUNK):
+            n = np.arange(lo, min(lo + CHUNK, grow), dtype=np.int64)
+            arr[lo:lo + CHUNK] = self._fracs(n)
         self._frac_cache = arr
         return arr[:n_hi]
 
-    def _rational_fracs(self, n_hi: int) -> np.ndarray:
-        val = self.rational_value()
-        P, Q = val.numerator % val.denominator, val.denominator
-        if n_hi * P < 2 ** 62:
-            r = (np.arange(n_hi, dtype=np.int64) * P) % Q
-            return r.astype(np.float64) / Q
-        out = np.empty(n_hi, dtype=np.float64)
-        acc = 0
-        for n in range(n_hi):  # big-integer fallback, exact residues
-            out[n] = acc / Q
-            acc = (acc + P) % Q
-        return out
+    def _fracs(self, n: np.ndarray) -> np.ndarray:
+        """{n*alpha} for an int64 index array n."""
+        if self.is_rational:
+            val = self.rational_value()
+            P, Q = val.numerator % val.denominator, val.denominator
+            if (int(n[-1]) + 1) * P < 2 ** 62:
+                return ((n * P) % Q).astype(np.float64) / Q
+            return np.array([(int(m) * P) % Q / Q for m in n])  # exact big-int residues
+        with mpmath.workprec(max(self.cfg.working_bits, 128)):
+            a_frac = self.alpha_value - mpmath.floor(self.alpha_value)
+        return frac_parts_dd(n, *dd_from_mpf(a_frac))
 
 
 def _fold_rational(alpha: AlphaSpec) -> Fraction:

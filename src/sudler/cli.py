@@ -210,7 +210,7 @@ def _suite_decomp(args, fixtures) -> list[PredictionReport]:
     K = min(args.K, 5)
     table = _table(args, K)
     worst = 0.0
-    res = scan(table, K, keep_values=True)
+    res = scan(table, K)
     for N in range(res.q_K):
         digits = encode(table, N, K=K)
         total = decompose(table, digits).total

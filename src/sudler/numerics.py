@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+CHUNK = 1 << 16  # fixed block size of the array kernels; no result depends on it
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker split constant
 
 LOG_TWO_PI = math.log(2.0 * math.pi)

@@ -18,7 +18,7 @@ from .cf import ConvergentTable
 from .cotangent import v_k
 from .errors import RangeError, SudlerError
 from .ostrowski import OstrowskiDigits, decode, encode, epsilon_profile, n_star, project
-from .products import log_sudler, log_sudler_shifted, scan
+from .products import block_shifts, log_sudler, log_sudler_shifted, scan
 
 # zeta(2n) / (n (2n + 1)), n = 1..25: the Clausen-series coefficients.  At
 # y = 1/2 the 26th term is below 1e-19.
@@ -203,16 +203,9 @@ def u_n_log(table: ConvergentTable, digits: OstrowskiDigits, k0: int = 1) -> UNV
     total = sum(u_k_log(table, digits, k) for k in range(k0, digits.K))
     eps = epsilon_profile(digits)
     below = 0.0
-    with mpmath.workprec(table.cfg.working_bits):
-        for k in range(min(k0, digits.K)):
-            b_k = digits.digits[k]
-            if b_k < 1:
-                continue
-            sign = 1 if k % 2 == 0 else -1
-            for b in range(b_k):
-                arg = b * table.delta[k] + eps[k]
-                shift = float(sign * arg / table.q[k])
-                below += log_sudler_shifted(table, table.q[k], shift).require_nonzero()
+    for k in range(k0):
+        for shift in block_shifts(table, digits, k, eps):
+            below += log_sudler_shifted(table, table.q[k], shift).require_nonzero()
     return UNValue(total, below, k0)
 
 
@@ -222,13 +215,8 @@ def e_k_residual(table: ConvergentTable, digits: OstrowskiDigits, k: int) -> flo
     b_k = digits.digits[k]
     if b_k == 0:
         return 0.0
-    eps = float(epsilon_profile(digits)[k])
-    delta = float(table.delta[k])
-    sign = 1 if k % 2 == 0 else -1
-    blocks = 0.0
-    for b in range(b_k):
-        shift = sign * (b * delta + eps) / table.q[k]
-        blocks += log_sudler_shifted(table, table.q[k], shift).require_nonzero()
+    shifts = block_shifts(table, digits, k, epsilon_profile(digits))
+    blocks = sum(log_sudler_shifted(table, table.q[k], s).require_nonzero() for s in shifts)
     return blocks - u_k_log(table, digits, k)
 
 
@@ -346,10 +334,10 @@ def lcnorm_prediction(table: ConvergentTable, K: int, c: float, fixtures: dict,
     c = float(c)
     if c < 0.01:
         raise RangeError("c must be >= 0.01")
-    if scan_result is None or c not in scan_result.sums:
+    if scan_result is None or scan_result.K != K or c not in scan_result.sums:
         scan_result = scan(table, K, c_list=(c,))
     observed = scan_result.sums[c] / c
-    star_log = log_sudler(table, decode(n_star(table, K))).require_nonzero()
+    star_log = float(scan_result.values[decode(n_star(table, K))])
     correction = sum(
         math.log(2.0 * table.a[k] / (math.sqrt(3.0) * c)) for k in range(1, K + 1)
     ) / (2.0 * c)
@@ -370,7 +358,7 @@ def theorem1_check(table: ConvergentTable, K: int, sample, fixtures: dict,
     """
     sample = [int(N) for N in sample]
     if values is None:
-        values = scan(table, K, keep_values=True).values
+        values = scan(table, K).values
     star_log = float(values[decode(n_star(table, K))])
     C_cal, C_alpha = _fixture_pair(fixtures, "theorem1")
     base_shape = theorem1_budget_shape(table, K)

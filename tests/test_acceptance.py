@@ -39,7 +39,7 @@ from sudler.theorems import (
     quadratic_slope_estimate,
 )
 
-TEST_SPECS = ("golden", "[0;(2)]", "[0;(5)]", "[0;2,(1,4)]")
+from conftest import TEST_SPECS
 
 
 class _Criterion:
@@ -88,7 +88,7 @@ def test_criterion_2_exact_identities():
     c = _Criterion(2, "exact identities", 10.0)
     # determinant identity, exact integers, k <= 40
     for spec in TEST_SPECS:
-        t = build_table(spec, 40) if spec != "[0;2,(1,4)]" else build_table(spec, 40)
+        t = build_table(spec, 40)
         ok = all(
             t.q[k + 1] * t.p[k] - t.q[k] * t.p[k + 1] == (-1) ** (k + 1)
             for k in range(40)
@@ -133,7 +133,7 @@ def test_criterion_3_decomposition_oracle():
     c = _Criterion(3, "decomposition oracle", 30.0)
     for spec in TEST_SPECS:
         t = build_table(spec, 6)
-        vals = scan(t, 5, keep_values=True).values
+        vals = scan(t, 5).values
         worst = 0.0
         for N in range(int(t.q[5])):
             digits = encode(t, N, K=5)
@@ -241,7 +241,7 @@ def test_criterion_7_theorem1(fx):
     c = _Criterion(7, "theorem 1", 120.0)
     t = build_table("[0;(10)]", 4)
     K = 3
-    values = scan(t, K, keep_values=True).values
+    values = scan(t, K).values
     reports = theorem1_check(t, K, range(int(t.q[K])), fx, values=values)
     c.check("exhaustive N < q_3", all(r.passed for r in reports))
     c.check("sample size", len(reports) == int(t.q[K]))

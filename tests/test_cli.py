@@ -199,3 +199,25 @@ def test_package_imports_without_scipy():
     proc = _python(["-c", "import sudler, sudler.cli, sys; assert not any("
                           "m.split('.')[0] == 'scipy' for m in sys.modules)"])
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("content", ["{not json", None], ids=["not-json", "directory"])
+def test_unreadable_fixtures_exit_1(tmp_path, content):
+    path = tmp_path  # a directory unless content is given
+    if content is not None:
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+    proc = _python(["-m", "sudler.cli", "verify", "--suite", "theorem3",
+                    "--alpha", "[0;(30)]", "--fixtures", str(path)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "cannot read calibration fixtures" in proc.stderr
+
+
+@pytest.mark.parametrize("flag", [["--parallelism", "0"], ["--top", "-1"]],
+                         ids=["parallelism-0", "top-negative"])
+def test_bad_scan_argument_exits_1(flag):
+    proc = _python(["-m", "sudler.cli", "scan", "--alpha", "[0;(6)]", "--K", "3", *flag])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ class TestDirect:
     def test_golden_desk_windows(self):
         # bounded below and P_N/N bounded above at desk scale
         t = build_table("golden", 22)
-        vals = scan(t, 21, keep_values=True).values
+        vals = scan(t, 21).values
         P = np.exp(vals[1:10001])
         N = np.arange(1, 10001)
         assert P.min() > 0.5
@@ -125,7 +126,7 @@ class TestDecompose:
 
     def test_identity_one_alpha(self):
         t = build_table("[0;(5)]", 6)
-        vals = scan(t, 4, keep_values=True).values
+        vals = scan(t, 4).values
         for N in range(int(t.q[4])):
             d = encode(t, N, K=4)
             dec = decompose(t, d)
@@ -159,7 +160,7 @@ class TestBTransfer:
 class TestScan:
     def test_max_matches_values(self):
         t = build_table("[0;(6)]", 5)
-        res = scan(t, 4, keep_values=True)
+        res = scan(t, 4)
         assert res.max_log == res.values[res.argmax_N]
         assert res.max_log == pytest.approx(
             log_sudler(t, res.argmax_N).log_value, abs=1e-9
@@ -199,7 +200,7 @@ class TestScan:
         spec = f"[0;{','.join(str(t6.a[k]) for k in range(1, 5))}]"
         t = build_table(spec, 4)
         assert (t.p[4], t.q[4]) == (p, q)
-        res = scan(t, 4, keep_values=True)
+        res = scan(t, 4)
         rng = np.random.default_rng(5)
         for N in rng.integers(0, q, size=200):
             lhs = res.values[N] + res.values[q - N - 1]
@@ -212,6 +213,40 @@ class TestScan:
         assert res.top[0][0] == res.argmax_N
         vals = [v for _, v in res.top]
         assert vals == sorted(vals, reverse=True)
+
+    def test_multi_block(self):
+        # q_7 = 328,776 spans six 65536-wide blocks
+        t = build_table("[0;(6)]", 7)
+        cs = (0.5, 2.0, 64.0)
+        res = scan(t, 7, c_list=cs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the worker threads finely
+        try:
+            others = [scan(t, 7, c_list=cs, parallelism=p) for p in (2, 8)]
+        finally:
+            sys.setswitchinterval(interval)
+        for other in others:
+            assert res.equals_bitwise(other)
+            assert np.array_equal(res.values, other.values)
+        vals = res.values
+        q = res.q_K
+        assert q == 328_776
+        for N in (65535, 65536, 65537, q - 1):
+            assert abs(vals[N] - log_sudler(t, N).log_value) <= 1e-9
+        assert res.argmax_N == int(np.argmax(vals))
+        assert res.max_log == vals[res.argmax_N]
+        for c in cs:
+            lse = c * res.max_log + math.log(math.fsum(np.exp(c * (vals - res.max_log))))
+            assert res.sums[c] == pytest.approx(lse, rel=1e-12)
+        order = np.argsort(-vals, kind="stable")[:32]
+        assert res.top == tuple((int(n), float(vals[n])) for n in order)
+
+    def test_bad_arguments(self):
+        t = build_table("[0;(6)]", 4)
+        with pytest.raises(RangeError):
+            scan(t, 3, parallelism=0)
+        with pytest.raises(RangeError):
+            scan(t, 3, top_m=-1)
 
     def test_budget(self):
         t = build_table("[0;(50)]", 5)

@@ -16,6 +16,7 @@ from sudler import (
     theorem1_check,
     vol41,
 )
+from sudler import theorems
 from sudler.ostrowski import OstrowskiDigits, delta_T_default
 from sudler.theorems import (
     PENALTY_LOWER_CONSTANT,
@@ -198,6 +199,25 @@ class TestPredictions:
         star_log = log_sudler(t, decode(n_star(t, 3))).log_value
         assert abs(rep.prediction - star_log) < 0.05
         assert rep.passed
+
+    def test_lcnorm_reads_star_from_scan(self, fixtures, monkeypatch):
+        # six c sharing one scan evaluate log P_{N*} from its values, not anew
+        t = build_table("[0;(30)]", 4)
+        cs = (0.5, 1.0, 2.0, 4.0, 8.0, 64.0)
+        res = scan(t, 3, c_list=cs)
+        calls = []
+        monkeypatch.setattr(theorems, "log_sudler",
+                            lambda *a: calls.append(a) or log_sudler(*a))
+        reps = [lcnorm_prediction(t, 3, c, fixtures, scan_result=res) for c in cs]
+        assert calls == []
+        star_log = log_sudler(t, decode(n_star(t, 3))).log_value
+        for c, rep in zip(cs, reps):
+            correction = 3 * math.log(60.0 / (math.sqrt(3.0) * c)) / (2.0 * c)
+            assert rep.prediction == pytest.approx(star_log + correction, abs=1e-9)
+        # a scan to a smaller K is not reused
+        short = scan(t, 2, c_list=(2.0,))
+        rep = lcnorm_prediction(t, 3, 2.0, fixtures, scan_result=short)
+        assert rep.observed == reps[2].observed
 
     def test_lcnorm_rejects_tiny_c(self, fixtures):
         t = build_table("[0;(30)]", 4)
