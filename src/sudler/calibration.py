@@ -4,7 +4,8 @@ The asymptotic statements verified by this package leave every implied
 constant unspecified.  Calibration measures the residuals once on a designated
 alpha set, applies a fixed safety margin, and freezes the result; the
 verification suites are regression tests against the frozen file, never
-claims about the true constants.  Reruns are deterministic and byte-identical.
+claims about the true constants.  A rerun does not reproduce the frozen file
+bit for bit once the product kernels change; verification reads the file.
 """
 
 from __future__ import annotations
@@ -232,7 +233,7 @@ def _dk_main_slack() -> dict:
 
 
 def calibrate(out_path: str | None = None) -> dict:
-    """Compute all frozen constants; deterministic, so reruns are byte-identical."""
+    """Compute all frozen constants from the current kernels."""
     vk, vk_star = _vk_envelopes()
     fixtures = {
         "schema_version": serialize.SCHEMA_VERSION,

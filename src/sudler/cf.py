@@ -24,7 +24,7 @@ from .errors import (
     RationalDepthError,
     SudlerError,
 )
-from .numerics import CHUNK, dd_from_mpf, frac_parts_dd
+from .numerics import CHUNK, frac_parts_dd  # noqa: F401  (the benchmark tracer resolves it here)
 from .surd import Surd, periodic_tail, prepend_digits
 
 # Named digit generators for well-approximable test numbers.  Each maps the
@@ -32,6 +32,9 @@ from .surd import Surd, periodic_tail, prepend_digits
 RULES = {
     "powers-of-two": lambda k: 2 ** k,
 }
+
+# Residues below 2^62 add without leaving int64: R + (lo*P mod Q) < 2^63.
+RESIDUE_LIMIT = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -188,9 +191,11 @@ class ConvergentTable:
     theta[k] is the signed distance |q_k alpha - p_k|, which equals
     ||q_k alpha|| for every k >= 1 and also at k = 0 unless a_1 = 1.
 
-    Immutable after construction apart from the float64 fractional-part
-    cache, which grows by replacing its array and has no lock.  `scan` fills
-    it before it starts its thread pool, so its workers only read it.
+    Immutable after construction apart from two caches, each replaced
+    whole and without a lock: the residue kernel behind `fracs` and the
+    float64 fractional-part array of `frac_doubles`.  `scan` builds the
+    kernel before it starts its thread pool, so its workers only read it,
+    and never touches the array.
     """
 
     def __init__(self, alpha: AlphaSpec, K_max: int, cfg: PrecisionConfig,
@@ -206,6 +211,7 @@ class ConvergentTable:
         self.eta = eta        # eta[k] = q_k ||q_{k+1} alpha||
         self.alpha_value = alpha_value
         self._frac_cache: np.ndarray | None = None
+        self._kernel: tuple | None = None
 
     @property
     def is_rational(self) -> bool:
@@ -254,10 +260,10 @@ class ConvergentTable:
             t = mpmath.mpf(r) / self.q[k] + sign * n * self.theta[k] / self.q[k]
             return t - mpmath.floor(t)
 
-    # --- cached float64 fractional parts for the product kernels ---
+    # --- float64 fractional parts for the product kernels ---
 
     def frac_doubles(self, n_hi: int) -> np.ndarray:
-        """Float64 array of {n*alpha} for n = 0 .. n_hi-1, cached, filled CHUNK at a time."""
+        """`fracs` for n = 0 .. n_hi-1 as one cached float64 array."""
         n_hi = int(n_hi)
         cache = self._frac_cache
         have = 0 if cache is None else len(cache)
@@ -269,22 +275,69 @@ class ConvergentTable:
         if cache is not None:
             arr[:have] = cache
         for lo in range(have, grow, CHUNK):
-            n = np.arange(lo, min(lo + CHUNK, grow), dtype=np.int64)
-            arr[lo:lo + CHUNK] = self._fracs(n)
+            arr[lo:lo + CHUNK] = self.fracs(lo, min(lo + CHUNK, grow))
         self._frac_cache = arr
         return arr[:n_hi]
 
-    def _fracs(self, n: np.ndarray) -> np.ndarray:
-        """{n*alpha} for an int64 index array n."""
+    def fracs(self, lo: int, hi: int) -> np.ndarray:
+        """y_n = n*alpha mod 1 for lo <= n < hi, signed, as float64.
+
+        y_n = r_n/Q + n*w (see `residue_kernel`) with the exact residue
+        r_n = n*P mod Q taken in [-Q/2, Q/2), so y_n is n*alpha minus its
+        nearest integer (up to 1/Q near +-1/2) and is small exactly where
+        n*alpha is close to an integer.  A pure function of n; blocks of at
+        most CHUNK indices keep every temporary O(CHUNK).
+        """
+        lo, hi = int(lo), int(hi)
+        P, Q, w, R = self.residue_kernel(hi - lo)
+        h = Q // 2
+        # (n*P + h) mod Q - h is n*P mod Q shifted into [-h, Q - h).
+        r = _reduce_once(R[:hi - lo] + (lo * P + h) % Q, Q)
+        r -= h
+        y = np.arange(lo, hi, dtype=np.float64)
+        y *= w
+        y += r / Q
+        return y
+
+    def residue_kernel(self, size: int) -> tuple:
+        """(P, Q, w, R) with n*alpha = n*P/Q + n*w (mod 1) and R[j] = j*P mod Q.
+
+        A rational alpha with Q < 2^62 is P/Q itself and w = 0, so its
+        residues are exact.  Otherwise P/Q = p_j/q_j at the deepest j <= K_max
+        with q_j < 2^62, and w = (-1)^j theta_j / q_j rounded once; that is
+        accurate for every n < q_{j+1}.  R has at least `size` entries: it is
+        built on first use and grown by doubling, R[m + j] = (R[j] + m*P) mod Q,
+        so a small table pays only for the indices it asks for.
+        """
+        if self._kernel is None:
+            self._kernel = (*self._residue_params(), np.zeros(1, dtype=np.int64))
+        P, Q, w, R = self._kernel
+        while len(R) < size:
+            R = np.concatenate((R, _reduce_once(R + len(R) * P % Q, Q)))
+            self._kernel = (P, Q, w, R)
+        return self._kernel
+
+    def _residue_params(self) -> tuple:
         if self.is_rational:
             val = self.rational_value()
-            P, Q = val.numerator % val.denominator, val.denominator
-            if (int(n[-1]) + 1) * P < 2 ** 62:
-                return ((n * P) % Q).astype(np.float64) / Q
-            return np.array([(int(m) * P) % Q / Q for m in n])  # exact big-int residues
-        with mpmath.workprec(max(self.cfg.working_bits, 128)):
-            a_frac = self.alpha_value - mpmath.floor(self.alpha_value)
-        return frac_parts_dd(n, *dd_from_mpf(a_frac))
+            if val.denominator < RESIDUE_LIMIT:
+                return val.numerator % val.denominator, val.denominator, 0.0
+        j = max(k for k in range(self.K_max + 1) if self.q[k] < RESIDUE_LIMIT)
+        sign = 1 if j % 2 == 0 else -1
+        with mpmath.workprec(self.cfg.working_bits + 16):
+            w = float(sign * self.theta[j] / self.q[j])
+        return self.p[j] % self.q[j], self.q[j], w
+
+
+def _reduce_once(x: np.ndarray, Q: int) -> np.ndarray:
+    """x mod Q in place, for int64 0 <= x < 2Q < 2^63.
+
+    Seen as uint64, x - Q wraps past x exactly when x < Q, so the smaller of
+    the two is x mod Q.
+    """
+    u = x.view(np.uint64)
+    np.minimum(u, u - np.uint64(Q), out=u)
+    return x
 
 
 def _fold_rational(alpha: AlphaSpec) -> Fraction:

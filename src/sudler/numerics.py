@@ -1,10 +1,13 @@
 """Vectorized numeric kernels shared by the product evaluators.
 
-Fractional parts {n*alpha} are produced in double-double arithmetic from a
-106-bit representation of {alpha}, so the only error in the emitted float64
-values is the final rounding (about 1e-16 absolute).  That keeps the log of a
-single sine factor accurate to ~1e-16/dist(y, Z), which is what the 1e-9-level
-identity checks in the test suite rely on.
+The product kernels read fractional parts from `ConvergentTable.fracs`:
+n*alpha = n*P/Q + n*w (mod 1) with the exact int64 residue n*P mod Q taken
+in [-Q/2, Q/2) and w = (-1)^K theta_K / q_K, or w = 0 for a rational alpha.
+The float64 result is signed, so it is small exactly where n*alpha is close
+to an integer and its rounding error shrinks with it; the log of a single
+sine factor is then accurate to ~1e-16/dist(n alpha, Z), which is what the
+1e-9-level identity checks in the test suite rely on.  `frac_parts_dd`, the double-double product of n with a
+106-bit {alpha}, is kept as an independent reference for that kernel.
 """
 
 from __future__ import annotations
@@ -40,18 +43,11 @@ def _two_prod(a, b):
     return p, e
 
 
-def dd_from_mpf(x) -> tuple[float, float]:
-    """Split a high-precision scalar into a (hi, lo) double-double pair."""
-    hi = float(x)
-    lo = float(x - hi)
-    return hi, lo
-
-
 def frac_parts_dd(n, a_hi: float, a_lo: float) -> np.ndarray:
     """{n * alpha} for an integer array n, with alpha = a_hi + a_lo.
 
     Requires |n| < 2**53 and |n * a_hi| < 2**53 so the Dekker product is
-    exact; callers keep alpha reduced mod 1 and n below the scan budget.
+    exact, with alpha reduced mod 1.
     """
     n = np.asarray(n, dtype=np.float64)
     p, e = _two_prod(n, a_hi)

@@ -25,7 +25,6 @@ DEFAULT_SCAN_BUDGET = 10 ** 7
 DEFAULT_TOP_M = 32
 
 METHOD_DIRECT = "direct"
-METHOD_DECOMPOSED = "decomposed"
 METHOD_RATIONAL = "rational-closed-form"
 
 
@@ -101,7 +100,8 @@ def log_sudler_rational(p: int, q: int, N: int, x: float = 0.0) -> LogProduct:
         return LogProduct(0.0, 0, METHOD_RATIONAL)
     n = np.arange(1, N + 1, dtype=np.int64)
     r = (n * (p % q)) % q
-    y = r.astype(np.float64) / q + float(x)
+    r[2 * r >= q] -= q  # signed, as in ConvergentTable.fracs
+    y = r / q + float(x)
     # A factor vanishes iff its argument is an integer; detect on the
     # argument, since sin(pi * y) does not round to exactly zero there.
     at_int = y == np.round(y)
@@ -126,9 +126,6 @@ class Decomposition:
     factors: tuple  # entries (k, b, factor_log)
     total: float
     n_terms: int
-
-    def as_log_product(self) -> LogProduct:
-        return LogProduct(self.total, self.n_terms, METHOD_DECOMPOSED)
 
 
 def block_shifts(table: ConvergentTable, digits: OstrowskiDigits, k: int, eps) -> list:
@@ -212,7 +209,7 @@ class ScanResult:
             return False
         if self.max_log != other.max_log or self.sums != other.sums:
             return False
-        return self.top == other.top
+        return self.top == other.top and np.array_equal(self.values, other.values)
 
 
 def scan(table: ConvergentTable, K: int, c_list=(), parallelism: int = 1,
@@ -236,12 +233,12 @@ def scan(table: ConvergentTable, K: int, c_list=(), parallelism: int = 1,
     c_list = tuple(float(c) for c in c_list)
     if any(c <= 0 for c in c_list):
         raise RangeError("norm exponents must be positive")
-    y = table.frac_doubles(q_K)  # fill the cache once, outside the worker pool
+    table.residue_kernel(min(CHUNK, q_K))  # built once, outside the worker pool
     values = np.empty(q_K, dtype=np.float64)
     blocks = [slice(lo, min(lo + CHUNK, q_K)) for lo in range(0, q_K, CHUNK)]
 
     def prefix(block):
-        g, zeros = log_two_sin(y[block])
+        g, zeros = log_two_sin(table.fracs(block.start, block.stop))
         # y[0] = 0 is the one expected zero: it makes values[0] = log P_0 = 0.
         if zeros > (block.start == 0):
             raise ZeroFactorError(f"vanishing factor in block [{block.start},{block.stop})")

@@ -16,6 +16,7 @@ from sudler import (
     build_table,
     parse_alpha,
 )
+from sudler.numerics import CHUNK, frac_parts_dd, log_two_sin
 from sudler.serialize import mpf_from_hex, mpf_to_hex, table_from_dict, table_to_dict
 from sudler.surd import Surd, periodic_tail
 
@@ -199,16 +200,77 @@ class TestFracPart:
             t.frac_part(7)  # 64 bits cannot cover bitlen(n) + 64
 
     def test_frac_doubles_match_scalar(self, tables):
+        # Signed: arr[n] is n*alpha minus its nearest integer, to within a
+        # few ulp of dist(n alpha, Z) itself.
         for t in tables.values():
             arr = t.frac_doubles(int(t.q[6]))
-            for n in (1, 7, int(t.q[5]), int(t.q[6]) - 1):
-                assert abs(arr[n] - float(t.frac_part(n))) < 1e-15
+            ns = {1, 7, int(t.q[6]) - 1} | {int(t.q[k]) for k in range(1, 6)}
+            with mpmath.workprec(160):
+                for n in sorted(ns):
+                    f = t.frac_part(n)
+                    s = f - mpmath.nint(f)
+                    assert abs(arr[n] - s) <= 2.0 ** -51 * abs(s), n
 
     def test_rational_frac_doubles_exact(self):
         t = build_table("[0;2,3]", 2)
         arr = t.frac_doubles(7)
         assert arr[0] == 0.0
         assert arr[1] == pytest.approx(3.0 / 7.0, abs=1e-16)
+
+    def test_kernel_accuracy_at_budget(self):
+        # Every q_k plus 256 seeded n below q_6 = 11,645,101, computing only
+        # the blocks that hold them: each factor's log is within
+        # 2^-53 / dist(n alpha, Z) of the mpmath oracle.
+        t = build_table("[0;(15)]", 6)
+        q = int(t.q[6])
+        rng = np.random.default_rng(11)
+        ns = {int(t.q[k]) for k in range(6)} | {int(n) for n in rng.integers(1, q, 256)}
+        by_block = {}
+        for n in sorted(ns):
+            by_block.setdefault(n - n % CHUNK, []).append(n)
+        worst = 0.0
+        with mpmath.workprec(160):
+            for lo, group in by_block.items():
+                y = t.fracs(lo, min(lo + CHUNK, q))[[n - lo for n in group]]
+                logs, _ = log_two_sin(y)
+                for n, g in zip(group, logs):
+                    f = t.frac_part(n)
+                    d = min(f, 1 - f)
+                    ref = mpmath.log(2 * mpmath.sin(mpmath.pi * d))
+                    worst = max(worst, float(abs(g - ref) * d))
+        assert worst <= 2.0 ** -53
+
+    def test_fracs_match_double_double(self):
+        # The residue kernel against the double-double product with a 106-bit
+        # {alpha}, mod 1, on the first and the last block below q_6.
+        t = build_table("[0;(15)]", 6)
+        q = int(t.q[6])
+        with mpmath.workprec(256):
+            a = t.alpha_value - mpmath.floor(t.alpha_value)
+            a_hi = float(a)
+            a_lo = float(a - a_hi)
+        for lo in (0, q - q % CHUNK):
+            hi = min(lo + CHUNK, q)
+            d = t.fracs(lo, hi) - frac_parts_dd(np.arange(lo, hi), a_hi, a_lo)
+            assert np.max(np.abs(d - np.round(d))) <= 2.0 ** -52
+
+    @pytest.mark.parametrize("spec,K,j", [
+        ("golden", 80, 80),  # q_80 > 2^53
+        ("[0;(15)]", 17, 15),  # q_16 > 2^62: the kernel stops at q_15
+        ("[0;" + ",".join(["15"] * 17) + "]", 16, 15),  # rational, Q > 2^62
+    ])
+    def test_deep_table_small_n(self, spec, K, j):
+        t = build_table(spec, K)
+        P, Q, w, _ = t.residue_kernel(1)
+        assert (P, Q) == (t.p[j] % t.q[j], t.q[j]) and Q < 2 ** 62
+        assert j == K or t.q[j + 1] >= 2 ** 62
+        y = t.fracs(0, 64)
+        assert np.array_equal(y, t.frac_doubles(64))
+        with mpmath.workprec(160):
+            for n in range(1, 64):
+                f = t.frac_part(n)
+                s = f - mpmath.nint(f)
+                assert abs(y[n] - s) <= 2.0 ** -51 * abs(s), n
 
     @given(st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=30, deadline=None)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -110,6 +111,29 @@ class TestEmpirical:
             assert dev <= 3.0 * shape
             devs.append(dev)
         assert devs[1] < devs[0]
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                        reason="needs an 80-bit long double")
+    def test_long_double_oracle(self):
+        # P_{q_5}(alpha, -x/q_5) for [0;(15)] against the same product in long
+        # double: exact residues n*p_7 mod q_7 plus the theta_7 correction,
+        # with the kernel's own float64 pi and float64 shift.
+        t = build_table("[0;(15)]", 6)
+        q_k = int(t.q[5])
+        xs = np.array([-0.9, -0.4, 0.0, 0.35, 0.8])
+        emp = empirical_limit(t, 5, xs)
+        n = np.arange(1, q_k + 1, dtype=np.int64)
+        r = n * t.p[7] % t.q[7]
+        r[2 * r >= t.q[7]] -= t.q[7]
+        with mpmath.workprec(256):
+            w = -t.theta[7] / t.q[7]
+            w_ld = np.longdouble(float(w)) + np.longdouble(float(w - float(w)))
+        y = r.astype(np.longdouble) / t.q[7] + n.astype(np.longdouble) * w_ld
+        pi = np.longdouble(np.pi)
+        for x, e in zip(xs, emp):
+            arg = pi * (y + np.longdouble(-x / q_k))
+            oracle = np.sum(np.log(np.abs(2 * np.sin(arg))))
+            assert abs(math.log(e) - float(oracle)) <= 1e-11, x
 
     def test_budget_guard(self):
         t = build_table("[0;(50)]", 5)

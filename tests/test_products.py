@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -240,6 +241,13 @@ class TestScan:
             assert res.sums[c] == pytest.approx(lse, rel=1e-12)
         order = np.argsort(-vals, kind="stable")[:32]
         assert res.top == tuple((int(n), float(vals[n])) for n in order)
+
+    def test_equals_bitwise_compares_values(self):
+        res = scan(build_table("[0;(6)]", 4), 4)
+        other = dataclasses.replace(res, values=res.values.copy())
+        assert res.equals_bitwise(other)
+        other.values[-1] = np.nextafter(other.values[-1], np.inf)
+        assert not res.equals_bitwise(other)
 
     def test_bad_arguments(self):
         t = build_table("[0;(6)]", 4)
