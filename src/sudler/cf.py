@@ -10,7 +10,6 @@ three-term recursion for ||q_k alpha||.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -191,11 +190,10 @@ class ConvergentTable:
     theta[k] is the signed distance |q_k alpha - p_k|, which equals
     ||q_k alpha|| for every k >= 1 and also at k = 0 unless a_1 = 1.
 
-    Immutable after construction apart from two caches, each replaced
-    whole and without a lock: the residue kernel behind `fracs` and the
-    float64 fractional-part array of `frac_doubles`.  `scan` builds the
-    kernel before it starts its thread pool, so its workers only read it,
-    and never touches the array.
+    Every product computes n*alpha mod 1 block by block with `fracs`, so
+    the only state added after construction is the O(CHUNK) int64 residue
+    kernel behind it, replaced whole and without a lock.  `scan` builds the
+    kernel before it starts its thread pool, so its workers only read it.
     """
 
     def __init__(self, alpha: AlphaSpec, K_max: int, cfg: PrecisionConfig,
@@ -210,7 +208,6 @@ class ConvergentTable:
         self.delta = delta    # delta[k] = q_k ||q_k alpha||
         self.eta = eta        # eta[k] = q_k ||q_{k+1} alpha||
         self.alpha_value = alpha_value
-        self._frac_cache: np.ndarray | None = None
         self._kernel: tuple | None = None
 
     @property
@@ -263,21 +260,12 @@ class ConvergentTable:
     # --- float64 fractional parts for the product kernels ---
 
     def frac_doubles(self, n_hi: int) -> np.ndarray:
-        """`fracs` for n = 0 .. n_hi-1 as one cached float64 array."""
+        """`fracs` for n = 0 .. n_hi-1 as one float64 array, filled block by block."""
         n_hi = int(n_hi)
-        cache = self._frac_cache
-        have = 0 if cache is None else len(cache)
-        if have >= n_hi:
-            return cache[:n_hi]
-        grow = max(n_hi, 1024, 2 * have)
-        grow = min(grow, max(n_hi, int(self.q[self.K_max])))
-        arr = np.empty(grow, dtype=np.float64)
-        if cache is not None:
-            arr[:have] = cache
-        for lo in range(have, grow, CHUNK):
-            arr[lo:lo + CHUNK] = self.fracs(lo, min(lo + CHUNK, grow))
-        self._frac_cache = arr
-        return arr[:n_hi]
+        arr = np.empty(n_hi, dtype=np.float64)
+        for lo in range(0, n_hi, CHUNK):
+            arr[lo:lo + CHUNK] = self.fracs(lo, min(lo + CHUNK, n_hi))
+        return arr
 
     def fracs(self, lo: int, hi: int) -> np.ndarray:
         """y_n = n*alpha mod 1 for lo <= n < hi, signed, as float64.
@@ -306,15 +294,12 @@ class ConvergentTable:
         residues are exact.  Otherwise P/Q = p_j/q_j at the deepest j <= K_max
         with q_j < 2^62, and w = (-1)^j theta_j / q_j rounded once; that is
         accurate for every n < q_{j+1}.  R has at least `size` entries: it is
-        built on first use and grown by doubling, R[m + j] = (R[j] + m*P) mod Q,
-        so a small table pays only for the indices it asks for.
+        built on first use and rebuilt when a larger size is asked for, so a
+        small table pays only for the indices it asks for.
         """
-        if self._kernel is None:
-            self._kernel = (*self._residue_params(), np.zeros(1, dtype=np.int64))
-        P, Q, w, R = self._kernel
-        while len(R) < size:
-            R = np.concatenate((R, _reduce_once(R + len(R) * P % Q, Q)))
-            self._kernel = (P, Q, w, R)
+        if self._kernel is None or len(self._kernel[3]) < size:
+            P, Q, w = self._kernel[:3] if self._kernel else self._residue_params()
+            self._kernel = (P, Q, w, _residues(P, Q, size))
         return self._kernel
 
     def _residue_params(self) -> tuple:
@@ -327,6 +312,22 @@ class ConvergentTable:
         with mpmath.workprec(self.cfg.working_bits + 16):
             w = float(sign * self.theta[j] / self.q[j])
         return self.p[j] % self.q[j], self.q[j], w
+
+
+def _residues(P: int, Q: int, size: int) -> np.ndarray:
+    """R[j] = j*P mod Q as int64 for 0 <= j < max(size, 1).
+
+    Built by doubling, R[m + j] = (R[j] + m*P) mod Q with m*P mod Q taken in
+    Python integers, so nothing leaves int64, whatever the size of P.
+    """
+    P, Q = int(P), int(Q)
+    if not 1 <= Q < RESIDUE_LIMIT:
+        raise RangeError(f"residue modulus {Q} outside [1, 2^62)")
+    P %= Q
+    R = np.zeros(1, dtype=np.int64)
+    while len(R) < size:
+        R = np.concatenate((R, _reduce_once(R[:size - len(R)] + len(R) * P % Q, Q)))
+    return R
 
 
 def _reduce_once(x: np.ndarray, Q: int) -> np.ndarray:

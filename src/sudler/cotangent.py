@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cf import ConvergentTable
+from .cf import ConvergentTable, _residues
 from .errors import BudgetError, PoleError, RangeError
 
 COTANGENT_BUDGET = 10 ** 7
@@ -79,14 +79,14 @@ def _weighted_cot(table: ConvergentTable, k: int, x: float,
                   exclude: tuple = ()) -> float:
     q_k = int(table.q[k])
     _budget_check(q_k)
-    if q_k == 1:
-        return 0.0  # empty sum
     sign = 1 if k % 2 == 0 else -1
     n = np.arange(1, q_k, dtype=np.int64)
+    m = _residues(sign * table.p[k], q_k, q_k)[1:]
     if exclude:
         mask = ~np.isin(n, np.asarray(exclude, dtype=np.int64))
-        n = n[mask]
-    m = (sign * n * table.p[k]) % q_k
+        n, m = n[mask], m[mask]
+    if len(n) == 0:
+        return 0.0  # empty sum: q_k = 1, or q_k = 2 with its one residue excluded
     t = (m + float(x)) / q_k
     dist = np.abs(t - np.round(t))
     if float(np.min(dist)) * q_k < 1e-9:

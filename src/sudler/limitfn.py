@@ -115,11 +115,9 @@ def empirical_limit(table: ConvergentTable, k: int, grid,
         raise BudgetError(f"q_k={q_k} exceeds curve budget {budget}")
     sign = 1 if k % 2 == 0 else -1
     grid = np.asarray(grid, dtype=np.float64)
-    out = np.empty_like(grid)
-    for i, x in enumerate(grid):
-        lp = log_sudler_shifted(table, q_k, sign * x / q_k)
-        out[i] = 0.0 if lp.is_zero else math.exp(lp.log_value)
-    return out
+    lps = log_sudler_shifted(table, q_k, [sign * x / q_k for x in grid])
+    return np.array([0.0 if lp.is_zero else math.exp(lp.log_value) for lp in lps],
+                    dtype=np.float64)
 
 
 def crossing_abscissa(grid: np.ndarray, curve: np.ndarray, level: float = 1.0,

@@ -6,8 +6,9 @@ in [-Q/2, Q/2) and w = (-1)^K theta_K / q_K, or w = 0 for a rational alpha.
 The float64 result is signed, so it is small exactly where n*alpha is close
 to an integer and its rounding error shrinks with it; the log of a single
 sine factor is then accurate to ~1e-16/dist(n alpha, Z), which is what the
-1e-9-level identity checks in the test suite rely on.  `frac_parts_dd`, the double-double product of n with a
-106-bit {alpha}, is kept as an independent reference for that kernel.
+1e-9-level identity checks in the test suite rely on.  `frac_parts_dd`, the
+double-double product of n with a 106-bit {alpha}, is kept as an independent
+reference for that kernel.
 """
 
 from __future__ import annotations

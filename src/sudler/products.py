@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .cf import ConvergentTable
+from .cf import ConvergentTable, _residues
 from .errors import BudgetError, RangeError, ZeroFactorError
 from .numerics import CHUNK, kahan_sum, log_two_sin
 from .ostrowski import OstrowskiDigits, epsilon_profile
@@ -63,30 +63,40 @@ def log_sudler(table: ConvergentTable, N: int) -> LogProduct:
     return log_sudler_shifted(table, N, 0.0)
 
 
-def log_sudler_shifted(table: ConvergentTable, M: int, x: float) -> LogProduct:
-    """log prod_{n=1..M} |2 sin(pi (n alpha + x))|.
+def log_sudler_shifted(table: ConvergentTable, M: int, x) -> LogProduct | list:
+    """log prod_{n=1..M} |2 sin(pi (n alpha + s))| for a shift s = x, or each s in x.
 
-    Callers supply the full shift (the decomposition passes (-1)^k x / q_k).
+    A float x gives one LogProduct, a 1-D sequence a list of them.  Each block
+    n in [1 + i*CHUNK, 1 + (i+1)*CHUNK) of `table.fracs` is computed once and
+    shared by every shift.  The decomposition passes s = (-1)^k x / q_k.
     """
     M = int(M)
     _check_range(table, M)
-    if M == 0:
-        return LogProduct(0.0, 0, METHOD_DIRECT)
-    y = table.frac_doubles(M + 1)[1:] + float(x)
-    zeros = 0
-    if table.is_rational:
-        # Exact-residue fractional parts plus a shift can land exactly on an
-        # integer; sin would round to ~1e-16 there, so detect on the argument.
-        at_int = y == np.round(y)
-        zeros = int(np.count_nonzero(at_int))
-        if zeros:
-            y = y[~at_int]
-    parts = []
-    for lo in range(0, len(y), CHUNK):
-        g, z = log_two_sin(y[lo:lo + CHUNK])
-        zeros += z
-        parts.append(float(np.sum(g)))
-    return LogProduct(kahan_sum(parts), M, METHOD_DIRECT, zeros)
+    single = np.ndim(x) == 0
+    shifts = [float(x)] if single else [float(s) for s in x]
+    if not shifts:
+        return []
+    parts = [[] for _ in shifts]
+    zeros = [0] * len(shifts)
+    for lo in range(1, M + 1, CHUNK):
+        frac = table.fracs(lo, min(lo + CHUNK, M + 1))
+        for j, s in enumerate(shifts):
+            g, z = _log_factors(frac + s, table.is_rational)
+            zeros[j] += z
+            parts[j].append(float(g.sum()))  # np.sum's reduction, without its dispatch
+    out = [LogProduct(kahan_sum(p), M, METHOD_DIRECT, z) for p, z in zip(parts, zeros)]
+    return out[0] if single else out
+
+
+def _log_factors(y: np.ndarray, exact: bool) -> tuple[np.ndarray, int]:
+    """log_two_sin(y), counting an integer y as a zero factor when `exact`.
+
+    An exact residue plus a shift can land on an integer, where sin(pi y)
+    rounds to ~1e-16 instead of 0; such y are zeroed in place.
+    """
+    if exact:
+        y[y == np.round(y)] = 0.0
+    return log_two_sin(y)
 
 
 def log_sudler_rational(p: int, q: int, N: int, x: float = 0.0) -> LogProduct:
@@ -96,19 +106,9 @@ def log_sudler_rational(p: int, q: int, N: int, x: float = 0.0) -> LogProduct:
         raise RangeError("p/q must be a reduced fraction with q >= 1")
     if not 0 <= N < q:
         raise RangeError(f"N={N} outside [0, q={q})")
-    if N == 0:
-        return LogProduct(0.0, 0, METHOD_RATIONAL)
-    n = np.arange(1, N + 1, dtype=np.int64)
-    r = (n * (p % q)) % q
+    r = _residues(p, q, N + 1)[1:]
     r[2 * r >= q] -= q  # signed, as in ConvergentTable.fracs
-    y = r / q + float(x)
-    # A factor vanishes iff its argument is an integer; detect on the
-    # argument, since sin(pi * y) does not round to exactly zero there.
-    at_int = y == np.round(y)
-    zeros = int(np.count_nonzero(at_int))
-    if zeros:
-        y = y[~at_int]
-    g, _ = log_two_sin(y)
+    g, zeros = _log_factors(r / q + float(x), True)
     return LogProduct(float(np.sum(g)), N, METHOD_RATIONAL, zeros)
 
 
@@ -141,9 +141,10 @@ def block_shifts(table: ConvergentTable, digits: OstrowskiDigits, k: int, eps) -
     sign = 1 if k % 2 == 0 else -1
     shifts = []
     with mpmath.workprec(table.cfg.working_bits + 16):
+        lo, hi = mpmath.mpf(-1), mpmath.mpf(1)
         for b in range(b_k):
             arg = b * table.delta[k] + eps[k]
-            if not (mpmath.mpf(-1) < arg < mpmath.mpf(1)):
+            if not (lo < arg < hi):
                 raise AssertionError(
                     f"shift argument {float(arg)} outside (-1,1) at k={k}, b={b}"
                 )
@@ -157,9 +158,8 @@ def decompose(table: ConvergentTable, digits: OstrowskiDigits) -> Decomposition:
     eps = epsilon_profile(digits)
     factors = []
     for k in range(digits.K):
-        for b, shift in enumerate(block_shifts(table, digits, k, eps)):
-            lp = log_sudler_shifted(table, table.q[k], shift)
-            factors.append((k, b, lp.require_nonzero()))
+        blocks = log_sudler_shifted(table, table.q[k], block_shifts(table, digits, k, eps))
+        factors.extend((k, b, lp.require_nonzero()) for b, lp in enumerate(blocks))
     n_terms = sum(b_k * table.q[k] for k, b_k in enumerate(digits.digits))
     total = kahan_sum(f for _, _, f in factors)
     return Decomposition(tuple(factors), total, n_terms)
@@ -177,14 +177,12 @@ def b_transfer(table: ConvergentTable, k: int, M: int, x: float) -> float:
         raise RangeError(f"M={M} outside [0, q_k={table.q[k]})")
     if not -1.0 < x < 1.0:
         raise RangeError("x must lie in (-1, 1)")
-    if M == 0:
-        return 0.0
     sign = 1 if k % 2 == 0 else -1
     shift = sign * x / table.q[k]
     num = log_sudler_shifted(table, M, shift).require_nonzero()
     den = log_sudler_rational(table.p[k] % table.q[k], table.q[k], M, shift)
     n = np.arange(1, M + 1, dtype=np.int64)
-    m = (sign * n * table.p[k]) % table.q[k]
+    m = _residues(sign * table.p[k], table.q[k], M + 1)[1:]
     theta_k = float(table.theta[k])
     weights = np.sin(np.pi * n * (theta_k / table.q[k]))
     cots = 1.0 / np.tan(np.pi * (m + x) / table.q[k])

@@ -204,8 +204,8 @@ def u_n_log(table: ConvergentTable, digits: OstrowskiDigits, k0: int = 1) -> UNV
     eps = epsilon_profile(digits)
     below = 0.0
     for k in range(k0):
-        for shift in block_shifts(table, digits, k, eps):
-            below += log_sudler_shifted(table, table.q[k], shift).require_nonzero()
+        for lp in log_sudler_shifted(table, table.q[k], block_shifts(table, digits, k, eps)):
+            below += lp.require_nonzero()
     return UNValue(total, below, k0)
 
 
@@ -216,7 +216,7 @@ def e_k_residual(table: ConvergentTable, digits: OstrowskiDigits, k: int) -> flo
     if b_k == 0:
         return 0.0
     shifts = block_shifts(table, digits, k, epsilon_profile(digits))
-    blocks = sum(log_sudler_shifted(table, table.q[k], s).require_nonzero() for s in shifts)
+    blocks = sum(lp.require_nonzero() for lp in log_sudler_shifted(table, table.q[k], shifts))
     return blocks - u_k_log(table, digits, k)
 
 

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sudler
 from sudler.calibration import load_fixtures, save_fixtures
-from sudler.cli import _parse_grid, main
+from sudler.cli import SUITES, _parse_grid, main
 from sudler.serialize import load_json, table_from_dict, table_to_dict
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(sudler.__file__)))
@@ -221,3 +225,69 @@ def test_bad_scan_argument_exits_1(flag):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
+
+
+# Argument vectors for the fuzz test below.  Digits and K stay small so that
+# every run is quick; integer parts reach past 2^63, where p_k no longer fits
+# int64.
+_INTS = st.integers(-2, 5).map(str) | st.sampled_from(["40", "abc", ""])
+_ALPHAS = st.one_of(
+    st.sampled_from(["golden", "[0;2,(1,4)]", "[0;2,3]", "rule:powers-of-two",
+                     "[0;(", "[0;0]", "pi"]),
+    st.builds("[{};({})]".format, st.integers(-10 ** 20, 10 ** 20), st.integers(1, 6)),
+)
+_GRIDS = st.sampled_from(["-0.9:0.9:0.45", "0.3:0.3:1", "0:1:0.5", "-1.5:1.5:1.5",
+                          "-2:2:2", "1:0:1", "0:1:0", "a:b:c", "0:inf:1"])
+_COMMON = st.tuples(st.just("--alpha"), _ALPHAS,
+                    st.just("--bits"), st.sampled_from(["64", "128", "256", "32"]))
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(
+        lambda t: [str(tok) for part in t
+                   for tok in (part if isinstance(part, (tuple, list)) else (part,))])
+
+
+def _opt(flag, values):
+    return st.just(()) | values.map(lambda v: (flag, v))
+
+
+_ARGVS = st.one_of(
+    _argv(st.just("cf"), _COMMON, st.just("--K"), _INTS),
+    _argv(st.just("ostrowski"), _COMMON, st.just("--K"), _INTS,
+          st.just("--N"), st.integers(-3, 10 ** 6)),
+    _argv(st.just("scan"), _COMMON, st.just("--K"), _INTS,
+          _opt("--c", st.sampled_from(["2", "0.5,64", "-1", "0", "abc", "inf", "nan"])),
+          _opt("--parallelism", st.integers(-1, 2)), _opt("--top", st.integers(-1, 4)),
+          _opt("--budget", st.integers(0, 5000))),
+    _argv(st.just("cotangent"), _COMMON, st.just("--k"), _INTS,
+          st.just("--grid"), _GRIDS, _opt("--starred", st.just(""))),
+    _argv(st.just("limitfn"), _COMMON, st.just("--k"), _INTS, st.just("--grid"), _GRIDS,
+          _opt("--closed-form", st.just("")), _opt("--budget", st.integers(0, 5000))),
+    _argv(st.just("figures"), st.just("--which"),
+          st.sampled_from(["fig1", "fig2", "fig3", "fig4"]),
+          st.just("--grid"), _GRIDS, st.just("--budget"), st.sampled_from([0, 25000, 60000])),
+    _argv(st.just("verify"), _COMMON, st.just("--suite"),
+          st.sampled_from(SUITES + ("nope",)), st.just("--K"), st.integers(-1, 3),
+          _opt("--c", st.sampled_from(["2", "-1", "abc"])), _opt("--seed", st.integers(0, 3))),
+    st.sampled_from([[], ["--version"], ["calibrate", "--out"], ["calibrate", "--bogus"]]),
+).map(lambda argv: [tok for tok in argv if tok != ""])
+
+
+@given(argv=_ARGVS)
+@example(argv=["cotangent", "--alpha", "[100000000000000;(15)]", "--k", "5",
+               "--grid", "0.3:0.3:1"])
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_exits_cleanly(argv, tmp_path_factory):
+    # Every subcommand, and calibrate's parser (a full calibration takes too
+    # long to fuzz): exit 0, 1 or 2 with a message, never a traceback.
+    if argv[:1] == ["figures"]:
+        argv = argv + ["--out", str(tmp_path_factory.getbasetemp() / "fuzz-figures")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --version
+            rc = exc.code
+    assert rc in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()

@@ -116,6 +116,15 @@ class TestVk:
         val = v_k(t, 4, 0.2).value
         assert abs(val - math.log(50) / 50) < 2.0 / 50
 
+    def test_integer_part_does_not_matter(self):
+        # alpha and alpha + 10^12 have the same residues n*p_k mod q_k, though
+        # n*p_k leaves int64 for the second
+        a = build_table("[0;(15)]", 6)
+        b = build_table("[1000000000000;(15)]", 6)
+        assert b.p[5] * b.q[5] >= 2 ** 63
+        for k, x in ((5, 0.3), (4, -0.7)):
+            assert v_k(a, k, x).value == v_k(b, k, x).value
+
     def test_domain(self, tables):
         with pytest.raises(RangeError):
             v_k(tables["[0;(5)]"], 3, 1.0)

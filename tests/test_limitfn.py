@@ -135,6 +135,10 @@ class TestEmpirical:
             oracle = np.sum(np.log(np.abs(2 * np.sin(arg))))
             assert abs(math.log(e) - float(oracle)) <= 1e-11, x
 
+    def test_empty_grid(self):
+        emp = empirical_limit(build_table("[0;(5)]", 5), 4, [])
+        assert emp.shape == (0,) and emp.dtype == np.float64
+
     def test_budget_guard(self):
         t = build_table("[0;(50)]", 5)
         with pytest.raises(BudgetError):

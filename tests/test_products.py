@@ -12,6 +12,7 @@ from sudler import (
     b_transfer,
     build_table,
     decompose,
+    empirical_limit,
     encode,
     log_sudler,
     log_sudler_rational,
@@ -20,6 +21,7 @@ from sudler import (
     reflection_rhs,
     scan,
 )
+from sudler.numerics import CHUNK, kahan_sum, log_two_sin
 
 
 class TestDirect:
@@ -58,6 +60,30 @@ class TestDirect:
         for x in (-0.9, -0.5, 0.2, 0.5, 0.9):
             lp = log_sudler_shifted(t, int(t.q[4]), x / t.q[4])
             assert abs(math.exp(lp.log_value) - abs(2 * math.sin(math.pi * x))) < 2.5 * scale
+
+    def test_batched_shifts_match_one_by_one(self):
+        # q_7 = 328,776 spans six blocks; a list of shifts gives, bit for bit,
+        # what one call per shift gives and what the per-block partition of
+        # the whole fractional-part array gives.
+        t = build_table("[0;(6)]", 7)
+        M = int(t.q[7])
+        shifts = [0.0, -0.3 / M, 0.25, 1e-9]
+        batched = log_sudler_shifted(t, M, shifts)
+        y = t.frac_doubles(M + 1)[1:]
+        for s, lp in zip(shifts, batched):
+            assert lp == log_sudler_shifted(t, M, s)
+            parts = [float(np.sum(log_two_sin(y[lo:lo + CHUNK] + s)[0]))
+                     for lo in range(0, M, CHUNK)]
+            assert lp.log_value == kahan_sum(parts)
+        assert log_sudler_shifted(t, M, []) == []
+
+    def test_table_holds_no_full_length_array(self):
+        t = build_table("[0;(15)]", 5)
+        log_sudler(t, int(t.q[5]))
+        empirical_limit(t, 5, [0.1, 0.4])
+        held = [a for v in vars(t).values()
+                for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+        assert held and max(len(a) for a in held) <= CHUNK
 
 
 class TestRational:
@@ -111,6 +137,37 @@ class TestRational:
         lp = log_sudler_shifted(t, 2, 0.5)  # n=1 lands on sin(pi)
         assert lp.is_zero and lp.zero_factors == 1
 
+    def test_rational_table_zero_factors_across_blocks(self):
+        # q_5 = 772,920 spans 12 blocks.  Shift 0 vanishes at n = q_5 and
+        # 1/q_5 at the n with n*p_5 = -1 (mod q_5), 1/(2 q_5) nowhere.  The
+        # zero counts are exact, and the logs match the blockwise sum over
+        # the nonzero factors alone, whose blocks do not line up with the
+        # kernel's once a factor is left out.
+        t = build_table("[0;15,15,15,15,15]", 5)
+        M = int(t.q[5])
+        y = t.frac_doubles(M + 1)[1:]
+        shifts = [0.0, 1 / M, 0.5 / M]
+        lps = log_sudler_shifted(t, M, shifts)
+        assert [lp.zero_factors for lp in lps] == [1, 1, 0]
+        for s, lp in zip(shifts, lps):
+            ys = y + s
+            at_int = ys == np.round(ys)
+            assert lp.zero_factors == np.count_nonzero(at_int)
+            nz = ys[~at_int]
+            ref = kahan_sum(float(np.sum(log_two_sin(nz[lo:lo + CHUNK])[0]))
+                            for lo in range(0, len(nz), CHUNK))
+            assert abs(lp.log_value - ref) <= 1e-13
+
+    def test_large_modulus_exact_residues(self):
+        # q ~ 2^50 and N = 2^15: n*p overflows int64, the residues must not.
+        q = 2 ** 50 + 1
+        p = next(p for p in range(0x2545F4914F6CD, q) if math.gcd(p, q) == 1)
+        N = 2 ** 15
+        r = np.array([(n * p) % q for n in range(1, N + 1)], dtype=np.int64)
+        r[2 * r >= q] -= q
+        lp = log_sudler_rational(p, q, N, 0.1)
+        assert lp.log_value == float(np.sum(log_two_sin(r / q + 0.1)[0]))
+
 
 class TestDecompose:
     def test_all_zero_digits(self, tables):
@@ -149,6 +206,13 @@ class TestBTransfer:
         t = build_table("[0;(15)]", 6)
         val = b_transfer(t, 5, int(t.q[5]) - 1, 0.3)
         assert abs(val) <= fixtures["b_transfer"]["max_abs"]
+
+    def test_too_deep_raises(self):
+        # q_95 of the golden ratio exceeds 2^62, the limit of exact residues
+        t = build_table("golden", 100)
+        assert t.q[95] >= 2 ** 62
+        with pytest.raises(RangeError):
+            b_transfer(t, 95, 5, 0.3)
 
     def test_upper_bound_shape(self):
         # one-sided bound: B <= C / (a_{k+1}^2 q_k) with a modest C
