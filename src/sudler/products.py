@@ -2,7 +2,9 @@
 
 All products are accumulated in log space.  A direct product sums its factor
 logs by numpy's pairwise reduction per block and adds the block sums with
-compensated summation.  A scan takes a sequential cumsum per block and adds
+compensated summation; many shifts of one block product can instead share
+one log-sine pass through a cotangent power-sum expansion (see
+`log_sudler_shifted`).  A scan takes a sequential cumsum per block and adds
 the block totals in block order; over q_K ~ 1.2e7 indices its values[N] stay
 within 1e-12 of log_sudler (9.3e-13 measured for [0;(15)], K = 6).
 """
@@ -66,16 +68,78 @@ def log_sudler(table: ConvergentTable, N: int) -> LogProduct:
 def log_sudler_shifted(table: ConvergentTable, M: int, x) -> LogProduct | list:
     """log prod_{n=1..M} |2 sin(pi (n alpha + s))| for a shift s = x, or each s in x.
 
-    A float x gives one LogProduct, a 1-D sequence a list of them.  Each block
-    n in [1 + i*CHUNK, 1 + (i+1)*CHUNK) of `table.fracs` is computed once and
-    shared by every shift.  The decomposition passes s = (-1)^k x / q_k.
+    A float x gives one LogProduct, a 1-D sequence a list of them.  The
+    decomposition passes s = (-1)^k x / q_k, a limit curve one such s per grid
+    point.  Each block n in [1 + i*CHUNK, 1 + (i+1)*CHUNK) of `table.fracs` is
+    computed once and shared by every shift.
+
+    A float x, and a sequence whose G shifts and M terms make the direct sum
+    the cheaper one (`_expansion_pays`), sum log_two_sin(y_n + s) for every
+    shift: G*M log-sines.  Other sequences take one pass over the blocks
+    (`_log_sudler_expanded`).  With c = cot(pi y_n) and t = tan(pi s),
+    log|2 sin pi(y_n + s)| = log|2 sin pi y_n| + log|cos pi s| + log(1 + c t).
+    A term is far when |c| tau < 1/_NEAR_T for tau = max |t| over the shifts.
+    The pass keeps the sum of the far terms' log|2 sin pi y_n| and the power
+    sums S_j of (c tau)^j for j <= _POWERS; a shift's far part is then
+    n_far log|cos pi s| + sum_j (-1)^(j+1) (t/tau)^j S_j / j, with a dropped
+    tail below _NEAR_T^-17/17 ~ 2e-22 a term.  The near terms, about 30 per
+    limit-curve shift, are summed directly for each shift, so an exact
+    residue landing on an integer still counts as a zero factor.  Both sums
+    of logs are exact up to a tiny remainder (`_split_sum`): at q_6 of
+    [0;(15)] the products are within 0.63e-12 of long double, against
+    1.01e-12 for the direct sum.
     """
     M = int(M)
     _check_range(table, M)
-    single = np.ndim(x) == 0
-    shifts = [float(x)] if single else [float(s) for s in x]
+    if np.ndim(x) == 0:
+        return _log_sudler_direct(table, M, [float(x)])[0]
+    shifts = [float(s) for s in x]
     if not shifts:
         return []
+    if _expansion_pays(shifts, M):
+        return _log_sudler_expanded(table, M, shifts)
+    return _log_sudler_direct(table, M, shifts)
+
+
+# The cotangent power-sum expansion of the sequence form (log_sudler_shifted).
+_NEAR_T = 16.0
+_POWERS = 16
+_BULK_POWERS, _BULK_U = 6, 2.0 ** -12
+_HI_SCALE = 2.0 ** 20
+
+
+def _expansion_pays(shifts: list, M: int) -> bool:
+    """Whether the expansion is as accurate as, and cheaper than, G direct passes.
+
+    Accuracy: the far terms' n_far log|cos pi s|, about M tau^2 / 2, carries
+    the rounding of log|cos pi s| n_far times, so M tau^2 <= 64 keeps that
+    near 1e-14; at a shift of 0.2 over q_5 of [0;(15)] it costs 1.6e-12.
+    Every limit-curve and Ostrowski-block shift, |s| < 2/q_k, passes.  tau <= 1
+    keeps cos pi s >= 1/sqrt(2), where log1p(-sin^2 pi s)/2 is accurate.
+
+    Cost, in units of one direct term (about 18 ns): a direct shift costs
+    M + 670 (12 us of per-block overhead), the expansion 2.5 (M + 4000) for
+    its pass plus, per shift, 200 and its near terms, about
+    M (2/pi) atan(_NEAR_T tau) for equidistributed y_n.  Fitted to both
+    kernels on [0;(15)] for M from 100 to 65536 and G from 1 to 16 (2 CPUs,
+    numpy 2.4): the expansion wins from G = 16 at M = 100, G = 9 at
+    M = 1000, G = 5 at M = 3000 and G = 3 from M = 10^4.
+    """
+    G = len(shifts)
+
+    def cheaper(near: float) -> bool:
+        return G * (M + 670) > 2.5 * (M + 4000) + G * (200 + near)
+
+    if not cheaper(0.0):  # most Ostrowski-digit calls stop here
+        return False
+    tau = float(np.max(np.abs(np.tan(np.pi * np.asarray(shifts)))))
+    if not (tau <= 1.0 and M * tau * tau <= 64.0):
+        return False
+    return cheaper(M * (2.0 / math.pi) * math.atan(_NEAR_T * tau))
+
+
+def _log_sudler_direct(table: ConvergentTable, M: int, shifts) -> list:
+    """G log-sine passes: each block's logs summed pairwise, the block sums compensated."""
     parts = [[] for _ in shifts]
     zeros = [0] * len(shifts)
     for lo in range(1, M + 1, CHUNK):
@@ -84,8 +148,96 @@ def log_sudler_shifted(table: ConvergentTable, M: int, x) -> LogProduct | list:
             g, z = _log_factors(frac + s, table.is_rational)
             zeros[j] += z
             parts[j].append(float(g.sum()))  # np.sum's reduction, without its dispatch
-    out = [LogProduct(kahan_sum(p), M, METHOD_DIRECT, z) for p, z in zip(parts, zeros)]
-    return out[0] if single else out
+    return [LogProduct(kahan_sum(p), M, METHOD_DIRECT, z) for p, z in zip(parts, zeros)]
+
+
+def _log_sudler_expanded(table: ConvergentTable, M: int, shifts) -> list:
+    """The sequence form in one pass over the blocks; see log_sudler_shifted."""
+    shifts = np.asarray(shifts, dtype=np.float64)
+    t = np.tan(np.pi * shifts)
+    tau = float(np.max(np.abs(t)))
+    # Per shift, the unshifted far factors plus the shifted near factors, as
+    # an exact hi part and a remainder (_split_sum).
+    hi = np.zeros(len(shifts))
+    lo = np.zeros(len(shifts))
+    zeros = np.zeros(len(shifts), dtype=np.int64)
+    powers = np.zeros(_POWERS)
+    n_far = 0
+    for start in range(1, M + 1, CHUNK):
+        y = table.fracs(start, min(start + CHUNK, M + 1))
+        tan_y = np.tan(np.pi * y)
+        far = np.abs(tan_y) > _NEAR_T * tau
+        for h, l in (_split_sum(log_two_sin(y[far])[0]),
+                     _near_sums(y[~far], shifts, table.is_rational, zeros)):
+            hi += h
+            lo += l
+        u = tau / tan_y[far]
+        n_far += u.size
+        powers += _power_sums(u)
+    j = np.arange(1, _POWERS + 1)
+    coef = powers * np.where(j % 2, 1.0, -1.0) / j
+    r = t / tau if tau else t
+    sin_s = np.sin(np.pi * shifts)
+    # log|cos pi s| through log1p: log(cos) is off by up to half an ulp of 1,
+    # and n_far such errors add up.
+    far_part = (r[:, None] ** j) @ coef + n_far * 0.5 * np.log1p(-sin_s * sin_s)
+    return [LogProduct(kahan_sum((h, l, f)), M, METHOD_DIRECT, z)
+            for h, l, f, z in zip(hi.tolist(), lo.tolist(), far_part.tolist(), zeros.tolist())]
+
+
+def _split_sum(g: np.ndarray) -> tuple:
+    """Sums of g along its last axis as (hi, lo): hi sums g rounded to multiples of 2^-20.
+
+    A factor above 1e-13 has |g| < 32, so its rounded log is an integer below
+    2^25 in units of 2^-20, and hi is exact in float64 up to 2^28 such terms,
+    also summed over blocks; the remainders g - hi are exact and below 2^-21,
+    so lo's rounding error is tiny.  Summed apart, the far and near terms of
+    a large shift have partial sums of 29,000 against a total of -2.6 (q_5 of
+    [0;(15)], s = 0.2), where pairwise sums lost 1.7e-12; for a limit curve
+    at q_6 the split removes the 0.39e-12 that pairwise summation adds.
+    """
+    h = g * _HI_SCALE
+    r = np.rint(h)
+    h -= r
+    return r.sum(axis=-1) / _HI_SCALE, h.sum(axis=-1) / _HI_SCALE
+
+
+def _power_sums(u: np.ndarray) -> np.ndarray:
+    """S_j = sum(u**j) for j = 1 .. _POWERS.
+
+    Powers above _BULK_POWERS are summed only over |u| > _BULK_U: a smaller
+    u adds less than _BULK_U^7/7 < 1e-26 to them.  Most far terms are small
+    (|u| > 2^-12 holds for about 1% of a k = 5 limit-curve block and 0.1% at
+    k = 6), so this saves most of the multiplications.
+    """
+    out = np.empty(_POWERS)
+    p = u.copy()
+    for j in range(_POWERS):
+        if j == _BULK_POWERS:
+            big = np.abs(u) > _BULK_U
+            u, p = u[big], p[big]
+        out[j] = p.sum()
+        p *= u
+    return out
+
+
+def _near_sums(y: np.ndarray, shifts: np.ndarray, exact: bool, zeros: np.ndarray) -> tuple:
+    """Per shift, _split_sum of log|2 sin pi(y + s)| over the near terms y.
+
+    Adds each shift's zero factors to `zeros`.  Shifts are batched so that a
+    temporary holds at most CHUNK elements (or one shift's row).  sin(pi v)
+    is 0.0 in float64 only at v = 0, so a row's zero factors are its zero
+    entries after _log_factors.
+    """
+    hi = np.empty(len(shifts))
+    lo = np.empty(len(shifts))
+    step = max(1, CHUNK // max(1, y.size))
+    for i in range(0, len(shifts), step):
+        v = shifts[i:i + step, None] + y
+        g, _ = _log_factors(v.ravel(), exact)
+        zeros[i:i + step] += np.count_nonzero(v == 0.0, axis=1)
+        hi[i:i + step], lo[i:i + step] = _split_sum(g.reshape(v.shape))
+    return hi, lo
 
 
 def _log_factors(y: np.ndarray, exact: bool) -> tuple[np.ndarray, int]:
@@ -229,8 +381,8 @@ def scan(table: ConvergentTable, K: int, c_list=(), parallelism: int = 1,
     if q_K > budget:
         raise BudgetError(f"q_K={q_K} exceeds scan budget {budget}")
     c_list = tuple(float(c) for c in c_list)
-    if any(c <= 0 for c in c_list):
-        raise RangeError("norm exponents must be positive")
+    if not all(0 < c < math.inf for c in c_list):
+        raise RangeError("norm exponents must be positive and finite")
     table.residue_kernel(min(CHUNK, q_K))  # built once, outside the worker pool
     values = np.empty(q_K, dtype=np.float64)
     blocks = [slice(lo, min(lo + CHUNK, q_K)) for lo in range(0, q_K, CHUNK)]

@@ -332,8 +332,8 @@ def lcnorm_prediction(table: ConvergentTable, K: int, c: float, fixtures: dict,
                       scan_result=None) -> PredictionReport:
     """Predicted c-norm of the scan against the log-sum-exp accumulator."""
     c = float(c)
-    if c < 0.01:
-        raise RangeError("c must be >= 0.01")
+    if not 0.01 <= c < math.inf:
+        raise RangeError("c must be finite and >= 0.01")
     if scan_result is None or scan_result.K != K or c not in scan_result.sums:
         scan_result = scan(table, K, c_list=(c,))
     observed = scan_result.sums[c] / c

@@ -227,6 +227,19 @@ def test_bad_scan_argument_exits_1(flag):
     assert "error:" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--alpha", "[0;(6)]", "--K", "3", "--c", "nan,inf"],
+    ["scan", "--alpha", "[0;(6)]", "--K", "3", "--c", "2,inf"],
+    ["verify", "--suite", "theorem2", "--alpha", "[0;(6)]", "--K", "3", "--c", "nan"],
+    ["verify", "--suite", "theorem2", "--alpha", "[0;(6)]", "--K", "3", "--c", "inf"],
+], ids=["scan-nan-inf", "scan-inf", "verify-nan", "verify-inf"])
+def test_non_finite_norm_exponent_exits_1(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "error: " in captured.err and "finite" in captured.err
+    assert "nan" not in captured.out
+
+
 # Argument vectors for the fuzz test below.  Digits and K stay small so that
 # every run is quick; integer parts reach past 2^63, where p_k no longer fits
 # int64.
@@ -269,7 +282,8 @@ _ARGVS = st.one_of(
           st.just("--grid"), _GRIDS, st.just("--budget"), st.sampled_from([0, 25000, 60000])),
     _argv(st.just("verify"), _COMMON, st.just("--suite"),
           st.sampled_from(SUITES + ("nope",)), st.just("--K"), st.integers(-1, 3),
-          _opt("--c", st.sampled_from(["2", "-1", "abc"])), _opt("--seed", st.integers(0, 3))),
+          _opt("--c", st.sampled_from(["2", "-1", "abc", "nan", "inf"])),
+          _opt("--seed", st.integers(0, 3))),
     st.sampled_from([[], ["--version"], ["calibrate", "--out"], ["calibrate", "--bogus"]]),
 ).map(lambda argv: [tok for tok in argv if tok != ""])
 
@@ -291,3 +305,4 @@ def test_cli_fuzz_exits_cleanly(argv, tmp_path_factory):
             rc = exc.code
     assert rc in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
+    assert rc != 0 or "nan" not in out.getvalue(), argv

@@ -135,6 +135,32 @@ class TestEmpirical:
             oracle = np.sum(np.log(np.abs(2 * np.sin(arg))))
             assert abs(math.log(e) - float(oracle)) <= 1e-11, x
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                        reason="needs an 80-bit long double")
+    def test_long_double_oracle_k6(self):
+        # The same oracle at q_6 = 11,645,101, in blocks, at x = -0.9 and 0
+        # (0.83e-12 and 1.01e-12 for the direct sum, 0.63e-12 measured here).
+        # The third grid point puts the call on the cotangent expansion.
+        t = build_table("[0;(15)]", 6)
+        q_k = int(t.q[6])
+        xs = np.array([-0.9, 0.0])
+        emp = empirical_limit(t, 6, [*xs, 0.8], budget=q_k)
+        with mpmath.workprec(256):
+            w = -t.theta[7] / t.q[7]
+            w_ld = np.longdouble(float(w)) + np.longdouble(float(w - float(w)))
+        pi = np.longdouble(np.pi)
+        oracle = np.zeros(len(xs), dtype=np.longdouble)
+        for lo in range(1, q_k + 1, 1 << 20):
+            n = np.arange(lo, min(lo + (1 << 20), q_k + 1), dtype=np.int64)
+            r = n * t.p[7] % t.q[7]
+            r[2 * r >= t.q[7]] -= t.q[7]
+            y = r.astype(np.longdouble) / t.q[7] + n.astype(np.longdouble) * w_ld
+            for i, x in enumerate(xs):
+                arg = pi * (y + np.longdouble(x / q_k))
+                oracle[i] += np.sum(np.log(np.abs(2 * np.sin(arg))))
+        for x, e, o in zip(xs, emp, oracle):
+            assert abs(math.log(e) - float(o)) <= 1.0e-12, x
+
     def test_empty_grid(self):
         emp = empirical_limit(build_table("[0;(5)]", 5), 4, [])
         assert emp.shape == (0,) and emp.dtype == np.float64

@@ -22,6 +22,7 @@ from sudler import (
     scan,
 )
 from sudler.numerics import CHUNK, kahan_sum, log_two_sin
+from sudler.products import _expansion_pays, _log_sudler_expanded
 
 
 class TestDirect:
@@ -62,16 +63,19 @@ class TestDirect:
             assert abs(math.exp(lp.log_value) - abs(2 * math.sin(math.pi * x))) < 2.5 * scale
 
     def test_batched_shifts_match_one_by_one(self):
-        # q_7 = 328,776 spans six blocks; a list of shifts gives, bit for bit,
-        # what one call per shift gives and what the per-block partition of
-        # the whole fractional-part array gives.
+        # q_7 = 328,776 spans six blocks.  A list of shifts, through whichever
+        # kernel the call picks, stays within 1e-12 of one scalar (direct)
+        # call per shift; with 0.25 in it, nearly every term is near.  The
+        # scalar form is the blockwise sum over frac_doubles, bit for bit.
         t = build_table("[0;(6)]", 7)
         M = int(t.q[7])
         shifts = [0.0, -0.3 / M, 0.25, 1e-9]
         batched = log_sudler_shifted(t, M, shifts)
         y = t.frac_doubles(M + 1)[1:]
-        for s, lp in zip(shifts, batched):
-            assert lp == log_sudler_shifted(t, M, s)
+        for s, b in zip(shifts, batched):
+            lp = log_sudler_shifted(t, M, s)
+            assert abs(b.log_value - lp.log_value) <= 1e-12, s
+            assert (b.n_terms, b.zero_factors) == (M, 0)
             parts = [float(np.sum(log_two_sin(y[lo:lo + CHUNK] + s)[0]))
                      for lo in range(0, M, CHUNK)]
             assert lp.log_value == kahan_sum(parts)
@@ -84,6 +88,73 @@ class TestDirect:
         held = [a for v in vars(t).values()
                 for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
         assert held and max(len(a) for a in held) <= CHUNK
+
+
+class TestExpansion:
+    """The cotangent power-sum expansion against the scalar (direct) form."""
+
+    @staticmethod
+    def _check(t, M, shifts, bound):
+        expanded = _log_sudler_expanded(t, M, shifts)
+        for s, e in zip(shifts, expanded):
+            lp = log_sudler_shifted(t, M, s)
+            assert abs(e.log_value - lp.log_value) <= bound, s
+            assert (e.n_terms, e.zero_factors) == (lp.n_terms, lp.zero_factors), s
+        return expanded
+
+    def test_tiny_shifts(self):
+        # a limit-curve call: q_5 = 772,920 (twelve blocks), nine points,
+        # about 15 near terms each; the public call takes the expansion
+        t = build_table("[0;(15)]", 6)
+        M = int(t.q[5])
+        shifts = list(np.linspace(-0.95, 0.95, 9) / M)
+        assert _expansion_pays(shifts, M)
+        expanded = self._check(t, M, shifts, 5e-13)
+        assert log_sudler_shifted(t, M, shifts) == expanded
+
+    def test_one_large_shift(self):
+        # tau = tan(0.2 pi) makes 95% of the terms near for every shift.  The
+        # call takes the direct sum: the expansion's n_far log|cos pi s|
+        # carries the rounding of log|cos pi s| n_far times (1.6e-12 at -0.2).
+        t = build_table("[0;(15)]", 6)
+        M = int(t.q[5])
+        shifts = [1e-7, -0.2, 0.3 / M]
+        assert not _expansion_pays(shifts, M)
+        self._check(t, M, shifts, 2.5e-12)
+
+    def test_single_shift_sequence(self):
+        t = build_table("[0;(15)]", 6)
+        M = int(t.q[5])
+        [lp] = log_sudler_shifted(t, M, [0.4 / M])
+        assert lp == log_sudler_shifted(t, M, 0.4 / M)
+        self._check(t, M, [0.4 / M], 5e-13)
+        self._check(t, M, [0.0], 5e-13)
+
+    def test_all_shifts_zero(self):
+        t = build_table("[0;(6)]", 7)
+        M = int(t.q[7])
+        self._check(t, M, [0.0, 0.0, 0.0], 5e-13)
+
+    def test_rational_zero_factor(self):
+        # n*p_6/q_6 + 1/q_6 is an integer for one n <= q_6: exact zero counts
+        t = build_table("[0;15,15,15,15,15,15]", 6)
+        M = int(t.q[6])
+        shifts = [1.0 / M, 0.3 / M, -1.0 / M]
+        assert _expansion_pays(shifts, M)
+        out = log_sudler_shifted(t, M, shifts)
+        assert [lp.zero_factors for lp in out] == [1, 0, 1]
+        for s, e in zip(shifts, out):
+            lp = log_sudler_shifted(t, M, s)
+            assert abs(e.log_value - lp.log_value) <= 1e-12, s
+            assert e.zero_factors == lp.zero_factors
+        # One period away, y + s is rounded at 1 (so the logs are not
+        # compared): y_n = -1/q_6 at n = q_5, and -1/q_6 + (-1 + 1/q_6) rounds
+        # to -1 exactly, an integer that must still count as a zero factor.
+        Q, M = M, int(t.q[5])
+        shifts = [-1.0 + 1.0 / Q, 1.0 - 0.3 / Q, 1.0 + 1.0 / Q]
+        assert _expansion_pays(shifts, M)
+        assert [lp.zero_factors for lp in log_sudler_shifted(t, M, shifts)] == [1, 0, 0]
+        assert log_sudler_shifted(t, M, shifts[0]).zero_factors == 1
 
 
 class TestRational:
@@ -319,6 +390,11 @@ class TestScan:
             scan(t, 3, parallelism=0)
         with pytest.raises(RangeError):
             scan(t, 3, top_m=-1)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_norm_exponent(self, c):
+        with pytest.raises(RangeError):
+            scan(build_table("[0;(6)]", 4), 3, c_list=(2.0, c))
 
     def test_budget(self):
         t = build_table("[0;(50)]", 5)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sudler import (
+    RangeError,
     build_table,
     decode,
     encode,
@@ -223,6 +224,13 @@ class TestPredictions:
         t = build_table("[0;(30)]", 4)
         with pytest.raises(Exception):
             lcnorm_prediction(t, 3, 0.001, fixtures)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_lcnorm_rejects_non_finite_c(self, fixtures, c):
+        t = build_table("[0;(30)]", 4)
+        res = scan(t, 3, c_list=(2.0,))
+        with pytest.raises(RangeError):
+            lcnorm_prediction(t, 3, c, fixtures, scan_result=res)
 
     def test_theorem1_at_star_trivial(self, fixtures):
         t = build_table("[0;(10)]", 4)
