@@ -242,21 +242,6 @@ class ConvergentTable:
             x = self.alpha_value * n
             return x - mpmath.floor(x)
 
-    def frac_part_via_convergent(self, n: int, k: int | None = None):
-        """Oracle path: exact reduction against p_k/q_k plus the n*theta correction."""
-        n = int(n)
-        if k is None:
-            k = self.K_max
-        if not 0 <= n < self.q[k]:
-            raise RangeError(f"n={n} outside [0, q_{k})")
-        if n == 0:
-            return mpmath.mpf(0)
-        r = (n * self.p[k]) % self.q[k]
-        sign = 1 if k % 2 == 0 else -1
-        with mpmath.workprec(self.cfg.working_bits + 16):
-            t = mpmath.mpf(r) / self.q[k] + sign * n * self.theta[k] / self.q[k]
-            return t - mpmath.floor(t)
-
     # --- float64 fractional parts for the product kernels ---
 
     def frac_doubles(self, n_hi: int) -> np.ndarray:
@@ -271,20 +256,16 @@ class ConvergentTable:
         """y_n = n*alpha mod 1 for lo <= n < hi, signed, as float64.
 
         y_n = r_n/Q + n*w (see `residue_kernel`) with the exact residue
-        r_n = n*P mod Q taken in [-Q/2, Q/2), so y_n is n*alpha minus its
-        nearest integer (up to 1/Q near +-1/2) and is small exactly where
-        n*alpha is close to an integer.  A pure function of n; blocks of at
-        most CHUNK indices keep every temporary O(CHUNK).
+        r_n = n*P mod Q taken in [-Q/2, Q/2) by `_signed_residues`, so y_n
+        is n*alpha minus its nearest integer (up to 1/Q near +-1/2) and is
+        small exactly where n*alpha is close to an integer.  A pure function
+        of n; blocks of at most CHUNK indices keep every temporary O(CHUNK).
         """
         lo, hi = int(lo), int(hi)
         P, Q, w, R = self.residue_kernel(hi - lo)
-        h = Q // 2
-        # (n*P + h) mod Q - h is n*P mod Q shifted into [-h, Q - h).
-        r = _reduce_once(R[:hi - lo] + (lo * P + h) % Q, Q)
-        r -= h
         y = np.arange(lo, hi, dtype=np.float64)
         y *= w
-        y += r / Q
+        y += _signed_residues(P, Q, R, lo, hi) / Q
         return y
 
     def residue_kernel(self, size: int) -> tuple:
@@ -328,6 +309,12 @@ def _residues(P: int, Q: int, size: int) -> np.ndarray:
     while len(R) < size:
         R = np.concatenate((R, _reduce_once(R[:size - len(R)] + len(R) * P % Q, Q)))
     return R
+
+
+def _signed_residues(P: int, Q: int, R: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """n*P mod Q in [-Q//2, Q - Q//2) for lo <= n < hi, from R = _residues(P, Q, >= hi - lo)."""
+    h = Q // 2  # (n*P + h) mod Q - h is n*P mod Q shifted into [-h, Q - h)
+    return _reduce_once(R[:hi - lo] + (lo * P + h) % Q, Q) - h
 
 
 def _reduce_once(x: np.ndarray, Q: int) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Vasyunin-type cotangent sums, their sine-weighted variants, and digamma.
 
-The sums are evaluated by direct summation over the q_k - 1 nonzero residues,
-which costs O(q_k); callers are held to q_k <= 10^7.
+Every sum runs over n = 1 .. M in blocks of the signed residues behind
+`ConvergentTable.fracs`: O(q_k) time, O(CHUNK) memory, and q_k <= 10^7.
 """
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cf import ConvergentTable, _residues
+from .cf import ConvergentTable, _residues, _signed_residues
 from .errors import BudgetError, PoleError, RangeError
+from .numerics import CHUNK, kahan_sum
 
 COTANGENT_BUDGET = 10 ** 7
 
@@ -52,11 +53,6 @@ def digamma(x: float) -> float:
     return acc + math.log(x) - 0.5 / x - tail
 
 
-def _budget_check(q: int):
-    if q > COTANGENT_BUDGET:
-        raise BudgetError(f"q={q} exceeds the direct-summation budget {COTANGENT_BUDGET}")
-
-
 def vasyunin(p: int, q: int, x: float = 0.0, parity_sign: int = 1) -> float:
     """sum_{n=1}^{q-1} (n/q) cot(pi (n p + parity_sign x)/q) by direct summation."""
     p, q = int(p), int(q)
@@ -64,36 +60,40 @@ def vasyunin(p: int, q: int, x: float = 0.0, parity_sign: int = 1) -> float:
         raise RangeError("p/q must be a reduced fraction with q >= 2")
     if parity_sign not in (1, -1):
         raise RangeError("parity_sign must be +1 or -1")
-    _budget_check(q)
-    n = np.arange(1, q, dtype=np.int64)
-    r = (n * (p % q)) % q
-    t = (r + parity_sign * float(x)) / q
-    dist = np.abs(t - np.round(t))
-    if float(np.min(dist)) < 1e-12:
-        raise PoleError("cotangent argument lands on an integer")
-    vals = (n / q) / np.tan(np.pi * t)
-    return float(np.sum(vals))
+    return _cot_sum(p, q, parity_sign * float(x), q - 1, lambda n: n / q)
 
 
 def _weighted_cot(table: ConvergentTable, k: int, x: float,
-                  exclude: tuple = ()) -> float:
+                  exclude: tuple = (), M: int | None = None) -> float:
+    """sum_{n<=M} sin(pi n theta_k/q_k) cot(pi (n (-1)^k p_k + x)/q_k); M = q_k - 1 by default."""
     q_k = int(table.q[k])
-    _budget_check(q_k)
-    sign = 1 if k % 2 == 0 else -1
-    n = np.arange(1, q_k, dtype=np.int64)
-    m = _residues(sign * table.p[k], q_k, q_k)[1:]
-    if exclude:
-        mask = ~np.isin(n, np.asarray(exclude, dtype=np.int64))
-        n, m = n[mask], m[mask]
-    if len(n) == 0:
-        return 0.0  # empty sum: q_k = 1, or q_k = 2 with its one residue excluded
-    t = (m + float(x)) / q_k
-    dist = np.abs(t - np.round(t))
-    if float(np.min(dist)) * q_k < 1e-9:
-        raise PoleError("cotangent argument within guard distance of a pole")
     theta_over_q = float(table.theta[k]) / q_k
-    weights = np.sin(np.pi * n * theta_over_q)
-    return float(np.sum(weights / np.tan(np.pi * t)))
+    return _cot_sum((-1) ** k * table.p[k], q_k, float(x), q_k - 1 if M is None else int(M),
+                    lambda n: np.sin(np.pi * n * theta_over_q), exclude)
+
+
+def _cot_sum(P: int, Q: int, x: float, M: int, weight, exclude: tuple = ()) -> float:
+    """sum_{n=1}^{M} weight(n) cot(pi (r_n + x)/Q) over n not in exclude, r_n = n*P mod Q.
+
+    The residues are signed as in `ConvergentTable.fracs`, so t = (r_n + x)/Q
+    is small, and exact but for one rounding, where cot(pi t) is large.
+    """
+    if M >= COTANGENT_BUDGET:
+        raise BudgetError(f"{M} terms exceed the direct-summation budget q <= {COTANGENT_BUDGET}")
+    R = _residues(P, Q, min(M, CHUNK))
+    parts = []
+    for lo in range(1, M + 1, CHUNK):
+        hi = min(lo + CHUNK, M + 1)
+        n = np.arange(lo, hi, dtype=np.int64)
+        t = _signed_residues(P, Q, R, lo, hi) + x
+        if exclude:
+            keep = ~np.isin(n, exclude)
+            n, t = n[keep], t[keep]
+        t /= Q
+        if t.size and float(np.min(np.abs(t - np.round(t)))) * Q < 1e-9:
+            raise PoleError("cotangent argument within guard distance of a pole")
+        parts.append(float(np.sum(weight(n) / np.tan(np.pi * t))))
+    return kahan_sum(parts)
 
 
 def v_k(table: ConvergentTable, k: int, x: float) -> CotangentSumValue:

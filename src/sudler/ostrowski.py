@@ -114,24 +114,11 @@ def b_double_star(a_next: int, delta_T: float) -> int:
     return int((1 - Fraction(repr(float(delta_T)))) * a_next)
 
 
-@dataclass(frozen=True)
-class EpsilonProfile:
-    """eps[k] for every index with b_k >= 1; absent keys mean undefined."""
+def epsilon_profile(digits: OstrowskiDigits) -> dict:
+    """Alternating tail sums eps_k = q_k sum_{l>k} (-1)^(k+l) b_l ||q_l alpha||.
 
-    eps: dict
-
-    def __getitem__(self, k: int):
-        return self.eps[k]
-
-    def __contains__(self, k: int) -> bool:
-        return k in self.eps
-
-    def items(self):
-        return self.eps.items()
-
-
-def epsilon_profile(digits: OstrowskiDigits) -> EpsilonProfile:
-    """Alternating tail sums eps_k = q_k sum_{l>k} (-1)^(k+l) b_l ||q_l alpha||."""
+    Keyed by the indices k with b_k >= 1; eps_k is undefined elsewhere.
+    """
     digits.require_valid()
     t = digits.table
     K = digits.K
@@ -144,7 +131,7 @@ def epsilon_profile(digits: OstrowskiDigits) -> EpsilonProfile:
                 sign = 1 if k % 2 == 0 else -1
                 eps[k] = sign * t.q[k] * suffix
             suffix += ((-1) ** (k % 2)) * digits.digits[k] * t.theta[k]
-    return EpsilonProfile(eps)
+    return eps
 
 
 def project(digits: OstrowskiDigits, m: int, B: int) -> OstrowskiDigits:

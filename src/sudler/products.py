@@ -1,12 +1,14 @@
 """Sudler product evaluation: direct, shifted, rational, decomposed, and scans.
 
-All products are accumulated in log space.  A direct product sums its factor
-logs by numpy's pairwise reduction per block and adds the block sums with
-compensated summation; many shifts of one block product can instead share
-one log-sine pass through a cotangent power-sum expansion (see
-`log_sudler_shifted`).  A scan takes a sequential cumsum per block and adds
-the block totals in block order; over q_K ~ 1.2e7 indices its values[N] stay
-within 1e-12 of log_sudler (9.3e-13 measured for [0;(15)], K = 6).
+All products are accumulated in log space, over blocks of n*alpha mod 1 from
+`ConvergentTable.fracs` or, for `log_sudler_rational`, of the same signed
+exact residues n*p mod q.  A direct product sums its factor logs by numpy's
+pairwise reduction per block and adds the block sums with compensated
+summation; many shifts of one block product can instead share one log-sine
+pass through a cotangent power-sum expansion (see `log_sudler_shifted`).  A
+scan takes a sequential cumsum per block and adds the block totals in block
+order; over q_K ~ 1.2e7 indices its values[N] stay within 1e-12 of
+log_sudler (9.3e-13 measured for [0;(15)], K = 6).
 """
 
 from __future__ import annotations
@@ -18,16 +20,14 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .cf import ConvergentTable, _residues
+from .cf import ConvergentTable, _residues, _signed_residues
+from .cotangent import _weighted_cot
 from .errors import BudgetError, RangeError, ZeroFactorError
 from .numerics import CHUNK, kahan_sum, log_two_sin
 from .ostrowski import OstrowskiDigits, epsilon_profile
 
 DEFAULT_SCAN_BUDGET = 10 ** 7
 DEFAULT_TOP_M = 32
-
-METHOD_DIRECT = "direct"
-METHOD_RATIONAL = "rational-closed-form"
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,6 @@ class LogProduct:
 
     log_value: float
     n_terms: int
-    method: str
     zero_factors: int = 0
 
     @property
@@ -70,8 +69,10 @@ def log_sudler_shifted(table: ConvergentTable, M: int, x) -> LogProduct | list:
 
     A float x gives one LogProduct, a 1-D sequence a list of them.  The
     decomposition passes s = (-1)^k x / q_k, a limit curve one such s per grid
-    point.  Each block n in [1 + i*CHUNK, 1 + (i+1)*CHUNK) of `table.fracs` is
-    computed once and shared by every shift.
+    point.  Each s must be finite and is replaced by s - round(s) on entry,
+    which is exact and leaves |s| <= 1/2 as it is.  Each block n in
+    [1 + i*CHUNK, 1 + (i+1)*CHUNK) of `table.fracs` is computed once and
+    shared by every shift.
 
     A float x, and a sequence whose G shifts and M terms make the direct sum
     the cheaper one (`_expansion_pays`), sum log_two_sin(y_n + s) for every
@@ -91,14 +92,18 @@ def log_sudler_shifted(table: ConvergentTable, M: int, x) -> LogProduct | list:
     """
     M = int(M)
     _check_range(table, M)
-    if np.ndim(x) == 0:
-        return _log_sudler_direct(table, M, [float(x)])[0]
-    shifts = [float(s) for s in x]
+    scalar = np.ndim(x) == 0
+    shifts = [float(s) for s in ([x] if scalar else x)]
+    if not all(map(math.isfinite, shifts)):
+        raise RangeError("shifts must be finite")
+    shifts = [math.remainder(s, 1.0) for s in shifts]
+    if scalar:
+        return _log_sudler_direct(table.fracs, M, shifts, table.is_rational)[0]
     if not shifts:
         return []
     if _expansion_pays(shifts, M):
         return _log_sudler_expanded(table, M, shifts)
-    return _log_sudler_direct(table, M, shifts)
+    return _log_sudler_direct(table.fracs, M, shifts, table.is_rational)
 
 
 # The cotangent power-sum expansion of the sequence form (log_sudler_shifted).
@@ -138,17 +143,17 @@ def _expansion_pays(shifts: list, M: int) -> bool:
     return cheaper(M * (2.0 / math.pi) * math.atan(_NEAR_T * tau))
 
 
-def _log_sudler_direct(table: ConvergentTable, M: int, shifts) -> list:
-    """G log-sine passes: each block's logs summed pairwise, the block sums compensated."""
+def _log_sudler_direct(fracs, M: int, shifts, exact: bool) -> list:
+    """G log-sine passes over blocks fracs(lo, hi): logs summed pairwise, block sums compensated."""
     parts = [[] for _ in shifts]
     zeros = [0] * len(shifts)
     for lo in range(1, M + 1, CHUNK):
-        frac = table.fracs(lo, min(lo + CHUNK, M + 1))
+        frac = fracs(lo, min(lo + CHUNK, M + 1))
         for j, s in enumerate(shifts):
-            g, z = _log_factors(frac + s, table.is_rational)
+            g, z = _log_factors(frac + s, exact)
             zeros[j] += z
             parts[j].append(float(g.sum()))  # np.sum's reduction, without its dispatch
-    return [LogProduct(kahan_sum(p), M, METHOD_DIRECT, z) for p, z in zip(parts, zeros)]
+    return [LogProduct(kahan_sum(p), M, z) for p, z in zip(parts, zeros)]
 
 
 def _log_sudler_expanded(table: ConvergentTable, M: int, shifts) -> list:
@@ -181,7 +186,7 @@ def _log_sudler_expanded(table: ConvergentTable, M: int, shifts) -> list:
     # log|cos pi s| through log1p: log(cos) is off by up to half an ulp of 1,
     # and n_far such errors add up.
     far_part = (r[:, None] ** j) @ coef + n_far * 0.5 * np.log1p(-sin_s * sin_s)
-    return [LogProduct(kahan_sum((h, l, f)), M, METHOD_DIRECT, z)
+    return [LogProduct(kahan_sum((h, l, f)), M, z)
             for h, l, f, z in zip(hi.tolist(), lo.tolist(), far_part.tolist(), zeros.tolist())]
 
 
@@ -252,16 +257,16 @@ def _log_factors(y: np.ndarray, exact: bool) -> tuple[np.ndarray, int]:
 
 
 def log_sudler_rational(p: int, q: int, N: int, x: float = 0.0) -> LogProduct:
-    """log prod_{n=1..N} |2 sin(pi (n p/q + x))| with exact residue reduction."""
+    """log prod_{n=1..N} |2 sin(pi (n p/q + x))|: the direct kernel on exact (n*p mod q)/q."""
     p, q, N = int(p), int(q), int(N)
     if q < 1 or math.gcd(p, q) != 1:
         raise RangeError("p/q must be a reduced fraction with q >= 1")
     if not 0 <= N < q:
         raise RangeError(f"N={N} outside [0, q={q})")
-    r = _residues(p, q, N + 1)[1:]
-    r[2 * r >= q] -= q  # signed, as in ConvergentTable.fracs
-    g, zeros = _log_factors(r / q + float(x), True)
-    return LogProduct(float(np.sum(g)), N, METHOD_RATIONAL, zeros)
+    P = p % q
+    R = _residues(P, q, min(N, CHUNK))
+    return _log_sudler_direct(lambda lo, hi: _signed_residues(P, q, R, lo, hi) / q,
+                              N, [float(x)], True)[0]
 
 
 def reflection_rhs(q: int, x: float) -> float:
@@ -333,13 +338,7 @@ def b_transfer(table: ConvergentTable, k: int, M: int, x: float) -> float:
     shift = sign * x / table.q[k]
     num = log_sudler_shifted(table, M, shift).require_nonzero()
     den = log_sudler_rational(table.p[k] % table.q[k], table.q[k], M, shift)
-    n = np.arange(1, M + 1, dtype=np.int64)
-    m = _residues(sign * table.p[k], table.q[k], M + 1)[1:]
-    theta_k = float(table.theta[k])
-    weights = np.sin(np.pi * n * (theta_k / table.q[k]))
-    cots = 1.0 / np.tan(np.pi * (m + x) / table.q[k])
-    partial = float(np.sum(weights * cots))
-    return num - den.require_nonzero() - partial
+    return num - den.require_nonzero() - _weighted_cot(table, k, x, M=M)
 
 
 @dataclass(frozen=True)

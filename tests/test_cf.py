@@ -21,6 +21,15 @@ from sudler.serialize import mpf_from_hex, mpf_to_hex, table_from_dict, table_to
 from sudler.surd import Surd, periodic_tail
 
 
+
+def frac_part_via_convergent(t, n, k):
+    """Oracle for {n alpha}, n < q_k: exact reduction against p_k/q_k plus n theta_k/q_k."""
+    r = (n * t.p[k]) % t.q[k]
+    sign = 1 if k % 2 == 0 else -1
+    with mpmath.workprec(t.cfg.working_bits + 16):
+        y = mpmath.mpf(r) / t.q[k] + sign * n * t.theta[k] / t.q[k]
+        return y - mpmath.floor(y)
+
 class TestParse:
     def test_pure_period(self):
         spec = parse_alpha("[0;(5)]")
@@ -191,7 +200,7 @@ class TestFracPart:
         for t in tables.values():
             for n in rng.integers(0, int(t.q[6]), size=25):
                 a = t.frac_part(int(n))
-                b = t.frac_part_via_convergent(int(n), k=6)
+                b = frac_part_via_convergent(t, int(n), 6)
                 assert abs(a - b) < tol
 
     def test_precision_guard(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -53,6 +54,14 @@ class TestVasyunin:
     def test_pole_detection(self):
         with pytest.raises(PoleError):
             vasyunin(2, 5, x=1.0)  # n p + x = 5 at n = 2
+
+    def test_pole_guard_in_residue_units(self):
+        # q |t - round t| < 1e-9 is a pole: 1e-11 off is one (the former
+        # |t - round t| < 1e-12 rule let it through), 1e-8 off is not
+        for sign in (1, -1):
+            with pytest.raises(PoleError):
+                vasyunin(2, 5, x=sign * (1.0 + 1e-11), parity_sign=sign)
+            assert math.isfinite(vasyunin(2, 5, x=sign * (1.0 + 1e-8), parity_sign=sign))
 
     def test_gcd_guard(self):
         with pytest.raises(RangeError):
@@ -133,6 +142,40 @@ class TestVk:
         t = build_table("[0;(200)]", 4)
         with pytest.raises(BudgetError):
             v_k(t, 4, 0.0)
+
+
+class TestVkAccuracy:
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                        reason="needs an 80-bit long double")
+    def test_long_double_oracle(self):
+        # V_k and V_k* for [0;(15)] at k = 5 (q_5 = 772,920) against the same
+        # sums in long double, with the kernel's float64 pi and theta_k/q_k.
+        # The signed residues keep t = (r_n + x)/q_k small where cot is large;
+        # unsigned ones were 1.2e-11 off at x = 0.85.
+        t = build_table("[0;(15)]", 6)
+        k = 5
+        q_k = int(t.q[k])
+        n = np.arange(1, q_k, dtype=np.int64)
+        r = (-n * t.p[k]) % q_k
+        r[2 * r >= q_k] -= q_k
+        pi = np.longdouble(np.pi)
+        w = np.sin(pi * n.astype(np.longdouble) * np.longdouble(float(t.theta[k]) / q_k))
+        keep = ~np.isin(n, (int(t.q[k - 1]), q_k - int(t.q[k - 1])))
+        for x in (-0.9, 0.3, 0.85):
+            terms = w / np.tan(pi * (r.astype(np.longdouble) + np.longdouble(x)) / q_k)
+            assert abs(v_k(t, k, x).value - float(np.sum(terms))) <= 1e-14, x
+            assert abs(v_k_star(t, k, x).value - float(np.sum(terms[keep]))) <= 1e-14, x
+
+    def test_memory_is_per_block(self):
+        # O(CHUNK) temporaries: q_5 = 772,920 int64 residues alone are 6 MB
+        t = build_table("[0;(15)]", 6)
+        tracemalloc.start()
+        try:
+            v_k(t, 5, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestVkStar:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from sudler import (
     scan,
 )
 from sudler.numerics import CHUNK, kahan_sum, log_two_sin
-from sudler.products import _expansion_pays, _log_sudler_expanded
+from sudler.products import _expansion_pays, _log_sudler_direct, _log_sudler_expanded
 
 
 class TestDirect:
@@ -147,17 +148,62 @@ class TestExpansion:
             lp = log_sudler_shifted(t, M, s)
             assert abs(e.log_value - lp.log_value) <= 1e-12, s
             assert e.zero_factors == lp.zero_factors
-        # One period away, y + s is rounded at 1 (so the logs are not
-        # compared): y_n = -1/q_6 at n = q_5, and -1/q_6 + (-1 + 1/q_6) rounds
-        # to -1 exactly, an integer that must still count as a zero factor.
+        # One period away the shifts are reduced mod 1, exactly: y_n = -1/q_6
+        # at n = q_5, and the float -1 + 1/q_6 reduces to 1/q_6 + 3.9e-17, so
+        # y_n + s is 3.9e-17, not the -1 that the unreduced sum rounded to,
+        # and no factor vanishes, as for the float 1 + 1/q_6.
         Q, M = M, int(t.q[5])
         shifts = [-1.0 + 1.0 / Q, 1.0 - 0.3 / Q, 1.0 + 1.0 / Q]
         assert _expansion_pays(shifts, M)
-        assert [lp.zero_factors for lp in log_sudler_shifted(t, M, shifts)] == [1, 0, 0]
-        assert log_sudler_shifted(t, M, shifts[0]).zero_factors == 1
+        assert [lp.zero_factors for lp in log_sudler_shifted(t, M, shifts)] == [0, 0, 0]
+        assert log_sudler_shifted(t, M, shifts[0]).zero_factors == 0
+
+
+class TestShiftReduction:
+    """Shifts are reduced mod 1 on entry, exactly, so a shift near a nonzero
+    integer keeps all of its offset."""
+
+    def test_near_integer_shifts(self):
+        t = build_table("[0;15,15,15,15,15,15]", 6)
+        Q, M = int(t.q[6]), int(t.q[5])
+        shifts = [1.0 + 1.0 / Q, 1.0 - 0.3 / Q, -1.0 + 1.0 / Q, -1.0 - 0.3 / Q]
+        offsets = [s - 1.0 if s > 0 else s + 1.0 for s in shifts]
+        scalar = [log_sudler_shifted(t, M, s) for s in shifts]
+        assert scalar == [log_sudler_shifted(t, M, s) for s in offsets]
+        assert _expansion_pays(shifts, M)
+        for lp, e in zip(scalar, log_sudler_shifted(t, M, shifts)):
+            assert abs(e.log_value - lp.log_value) <= 1e-12
+            assert e.zero_factors == lp.zero_factors == 0
+        # unreduced, 1 + 1/q_6 gave -20.764 against -21.681 for the offset
+        assert abs(scalar[0].log_value + 21.681) < 1e-3
+
+    def test_non_finite_shifts_rejected(self):
+        t = build_table("[0;(5)]", 5)
+        for x in (math.inf, -math.inf, math.nan, [0.1, math.nan]):
+            with pytest.raises(RangeError):
+                log_sudler_shifted(t, 10, x)
+
+    def test_half_period_shifts_unchanged(self):
+        # |s| <= 1/2 reaches the kernel as it is, the halves and -0.0 included
+        t = build_table("[0;(15)]", 6)
+        M = int(t.q[4])
+        for s in (0.5, -0.5, 0.3, -0.0, 1e-300):
+            assert log_sudler_shifted(t, M, s) == _log_sudler_direct(t.fracs, M, [s], False)[0]
 
 
 class TestRational:
+    def test_memory_is_per_block(self):
+        t = build_table("[0;(15)]", 6)
+        q = int(t.q[5])
+        tracemalloc.start()
+        try:
+            log_sudler_rational(t.p[5] % q, q, q - 1)
+            b_transfer(t, 5, q - 1, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
     def test_sqrt_five(self):
         lp = log_sudler_rational(1, 5, 2)
         assert math.exp(lp.log_value) == pytest.approx(math.sqrt(5), abs=1e-12)
