@@ -91,18 +91,14 @@ def _vk_envelopes() -> tuple[dict, dict]:
         if table.q[k] > 10 ** 7:
             continue
         delta = float(table.delta[k])
-        for x in (-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9):
-            resid = abs(
-                v_k(table, k, x).value / delta
-                - (math.log(a / (2 * math.pi)) - digamma(1.0 + x))
-            )
+        xs = (-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9)
+        for x, v in zip(xs, v_k(table, k, xs)):
+            resid = abs(v / delta - (math.log(a / (2 * math.pi)) - digamma(1.0 + x)))
             shape = (1.0 + 2.0 * math.log(a)) / ((1.0 - abs(x)) * a)
             plain = max(plain, resid / shape)
-        for x in (-1.5, -0.75, 0.0, 0.75, 1.5):
-            resid = abs(
-                v_k_star(table, k, x).value / delta
-                - (math.log(a / (2 * math.pi)) - digamma(2.0 + x))
-            )
+        xs = (-1.5, -0.75, 0.0, 0.75, 1.5)
+        for x, v in zip(xs, v_k_star(table, k, xs)):
+            resid = abs(v / delta - (math.log(a / (2 * math.pi)) - digamma(2.0 + x)))
             shape = (1.0 + 2.0 * math.log(a)) / ((2.0 - abs(x)) * a)
             starred = max(starred, resid / shape)
     return {"C_cal": plain * MARGIN}, {"C_cal": starred * MARGIN}

@@ -43,9 +43,15 @@ def _parse_grid(text: str) -> np.ndarray:
     if not (0 < step < math.inf and -math.inf < lo <= hi < math.inf):
         raise argparse.ArgumentTypeError("grid requires finite lo <= hi and step > 0")
     # Points lo + i*step up to hi inclusive; the tolerance keeps hi itself
-    # when (hi - lo)/step rounds just below an integer.
+    # when (hi - lo)/step rounds just below an integer.  The points meant to
+    # be 0 or hi are set to them exactly, and none passes hi.
     n = math.floor((hi - lo) / step + 1e-9) + 1
-    return np.arange(lo, lo + (n - 0.5) * step, step)
+    grid = lo + step * np.arange(n)
+    for target in (0.0, hi):
+        i = round((target - lo) / step)
+        if 0 <= i < n and abs((target - lo) / step - i) < 1e-9:
+            grid[i] = target
+    return np.minimum(grid, hi)
 
 
 def _parse_c_list(text: str) -> tuple:
@@ -112,13 +118,12 @@ def cmd_scan(args) -> int:
 
 def cmd_cotangent(args) -> int:
     table = _table(args, max(args.k, 2))
-    grid = args.grid
+    grid = args.grid.tolist()
+    vals = (v_k_star if args.starred else v_k)(table, args.k, grid)
     rows = []
-    for x in grid:
-        val = (v_k_star(table, args.k, float(x)) if args.starred
-               else v_k(table, args.k, float(x))).value
-        main = v_k_main_term(table, args.k, float(x), starred=args.starred)
-        rows.append((float(x), val, main, val - main))
+    for x, val in zip(grid, vals):
+        main = v_k_main_term(table, args.k, x, starred=args.starred)
+        rows.append((x, val, main, val - main))
     if args.out:
         serialize.write_csv(args.out, ["x", "direct", "main_term", "residual"], rows)
     worst = max(abs(r[3]) for r in rows)

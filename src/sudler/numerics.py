@@ -1,4 +1,4 @@
-"""Vectorized numeric kernels shared by the product evaluators.
+"""Vectorized numeric kernels shared by the product and cotangent evaluators.
 
 The product kernels read fractional parts from `ConvergentTable.fracs`:
 n*alpha = n*P/Q + n*w (mod 1) with the exact int64 residue n*P mod Q taken
@@ -74,6 +74,32 @@ def kahan_sum(values) -> float:
             comp += (v - t) + total
         total = t
     return total + comp
+
+
+# The cotangent power-sum expansions of `log_sudler_shifted` and `v_k`: a
+# term is far when |cot| max|tan| < 1/_NEAR_T.
+_NEAR_T = 16.0
+_BULK_POWERS, _BULK_U = 6, 2.0 ** -12
+
+
+def _power_sums(u: np.ndarray, p: np.ndarray, count: int) -> np.ndarray:
+    """sum(p * u**j) for j = 0 .. count - 1, the power sums of the expansions.
+
+    Indices from _BULK_POWERS on are summed only over |u| > _BULK_U: a
+    smaller u adds at most _BULK_U^6 |p| ~ 2.1e-22 |p| to them.  Most far
+    terms of an expansion are small (|u| > 2^-12 holds for about 1% of a
+    k = 5 limit-curve block and 0.1% at k = 6), so this saves most of the
+    multiplications.
+    """
+    out = np.empty(count)
+    p = p.copy()
+    for j in range(count):
+        if j == _BULK_POWERS:
+            big = np.abs(u) > _BULK_U
+            u, p = u[big], p[big]
+        out[j] = p.sum()
+        p *= u
+    return out
 
 
 def log_two_sin(y: np.ndarray) -> tuple[np.ndarray, int]:

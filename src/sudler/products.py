@@ -23,7 +23,7 @@ import numpy as np
 from .cf import ConvergentTable, _residues, _signed_residues
 from .cotangent import _weighted_cot
 from .errors import BudgetError, RangeError, ZeroFactorError
-from .numerics import CHUNK, kahan_sum, log_two_sin
+from .numerics import _NEAR_T, CHUNK, _power_sums, kahan_sum, log_two_sin
 from .ostrowski import OstrowskiDigits, epsilon_profile
 
 DEFAULT_SCAN_BUDGET = 10 ** 7
@@ -107,9 +107,7 @@ def log_sudler_shifted(table: ConvergentTable, M: int, x) -> LogProduct | list:
 
 
 # The cotangent power-sum expansion of the sequence form (log_sudler_shifted).
-_NEAR_T = 16.0
 _POWERS = 16
-_BULK_POWERS, _BULK_U = 6, 2.0 ** -12
 _HI_SCALE = 2.0 ** 20
 
 
@@ -178,7 +176,7 @@ def _log_sudler_expanded(table: ConvergentTable, M: int, shifts) -> list:
             lo += l
         u = tau / tan_y[far]
         n_far += u.size
-        powers += _power_sums(u)
+        powers += _power_sums(u, u, _POWERS)
     j = np.arange(1, _POWERS + 1)
     coef = powers * np.where(j % 2, 1.0, -1.0) / j
     r = t / tau if tau else t
@@ -205,25 +203,6 @@ def _split_sum(g: np.ndarray) -> tuple:
     r = np.rint(h)
     h -= r
     return r.sum(axis=-1) / _HI_SCALE, h.sum(axis=-1) / _HI_SCALE
-
-
-def _power_sums(u: np.ndarray) -> np.ndarray:
-    """S_j = sum(u**j) for j = 1 .. _POWERS.
-
-    Powers above _BULK_POWERS are summed only over |u| > _BULK_U: a smaller
-    u adds less than _BULK_U^7/7 < 1e-26 to them.  Most far terms are small
-    (|u| > 2^-12 holds for about 1% of a k = 5 limit-curve block and 0.1% at
-    k = 6), so this saves most of the multiplications.
-    """
-    out = np.empty(_POWERS)
-    p = u.copy()
-    for j in range(_POWERS):
-        if j == _BULK_POWERS:
-            big = np.abs(u) > _BULK_U
-            u, p = u[big], p[big]
-        out[j] = p.sum()
-        p *= u
-    return out
 
 
 def _near_sums(y: np.ndarray, shifts: np.ndarray, exact: bool, zeros: np.ndarray) -> tuple:

@@ -182,7 +182,7 @@ def u_k_log(table: ConvergentTable, digits: OstrowskiDigits, k: int) -> float:
     delta = float(table.delta[k])
     xs = delta * np.arange(b_k) + eps
     sin_part = float(np.sum(np.log(np.abs(2.0 * np.sin(np.pi * xs[1:])))))
-    v_part = sum(v_k(table, k, float(x)).value for x in xs)
+    v_part = sum(v_k(table, k, xs))
     boundary = math.log(2.0 * math.pi * (b_k * delta + eps))
     return sin_part + v_part + boundary
 

@@ -187,7 +187,7 @@ def test_criterion_5_cotangent(fx):
         for k in range(1, 9):
             if t.q[k] == 1 or t.q[k] > 10 ** 6:
                 continue  # q_k = 1 has an empty sum
-            vals = [v_k(t, k, float(x)).value for x in grid]
+            vals = v_k(t, k, grid)
             c.check(f"monotone {spec} k={k}",
                     all(a > b for a, b in zip(vals, vals[1:])))
     # frozen envelope at a in {15, 50, 200}; the q_k <= 1e7 cap is part of
@@ -203,7 +203,7 @@ def test_criterion_5_cotangent(fx):
             delta = float(t.delta[k])
             for x in (-0.9, -0.5, 0.0, 0.5, 0.9):
                 resid = abs(
-                    v_k(t, k, x).value / delta
+                    v_k(t, k, x) / delta
                     - (math.log(a / (2 * math.pi)) - digamma(1.0 + x))
                 )
                 shape = (1 + 2 * math.log(a)) / ((1 - abs(x)) * a)

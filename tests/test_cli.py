@@ -175,6 +175,20 @@ def test_grid_stays_within_hi(text, count, last):
     assert grid[-1] == pytest.approx(last, abs=1e-12)
 
 
+@pytest.mark.parametrize("text, zero", [
+    ("-1:1:0.005", True),
+    ("-0.9:0.9:0.05", True),
+    ("-0.95:0.95:0.25", False),
+])
+def test_grid_points_are_exact(text, zero):
+    # lo, and 0 where it lies on the grid, are exact, and no point passes hi
+    lo, hi, _ = (float(p) for p in text.split(":"))
+    grid = _parse_grid(text)
+    assert grid[0] == lo
+    assert max(grid) <= hi
+    assert (0.0 in grid) is zero
+
+
 @pytest.mark.parametrize("argv, env", [
     (["cf", "--alpha", "golden", "--K", "4"], {"SUDLER_BITS": "abc"}),
     (["scan", "--alpha", "[0;(6)]", "--K", "3", "--c", "abc"], {}),

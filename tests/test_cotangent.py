@@ -84,7 +84,7 @@ class TestVk:
             for k in range(1, 9):
                 if t.q[k] == 1 or t.q[k] > 10 ** 6:
                     continue  # q_k = 1 has an empty sum
-                vals = [v_k(t, k, float(x)).value for x in grid]
+                vals = v_k(t, k, grid)
                 assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_v0_bounded(self, tables):
@@ -94,7 +94,7 @@ class TestVk:
                 if t.q[k] > 10 ** 6:
                     continue
                 bound = (1 + math.log(max(t.a[1:k + 1]))) / t.a[k + 1]
-                assert abs(v_k(t, k, 0.0).value) <= bound
+                assert abs(v_k(t, k, 0.0)) <= bound
 
     def test_envelope_frozen(self, fixtures):
         # lemma (iii) shape with the single constant frozen at a=15
@@ -107,7 +107,7 @@ class TestVk:
                 delta = float(t.delta[k])
                 for x in (-0.9, -0.5, 0.0, 0.5, 0.9):
                     resid = abs(
-                        v_k(t, k, x).value / delta
+                        v_k(t, k, x) / delta
                         - (math.log(a / (2 * math.pi)) - digamma(1.0 + x))
                     )
                     shape = (1 + 2 * math.log(a)) / ((1 - abs(x)) * a)
@@ -122,7 +122,7 @@ class TestVk:
     def test_coarse_stationary_value(self):
         # V_k(x) is about log(a_k)/a_{k+1} for stationary quotients
         t = build_table("[0;(50)]", 5)
-        val = v_k(t, 4, 0.2).value
+        val = v_k(t, 4, 0.2)
         assert abs(val - math.log(50) / 50) < 2.0 / 50
 
     def test_integer_part_does_not_matter(self):
@@ -132,7 +132,7 @@ class TestVk:
         b = build_table("[1000000000000;(15)]", 6)
         assert b.p[5] * b.q[5] >= 2 ** 63
         for k, x in ((5, 0.3), (4, -0.7)):
-            assert v_k(a, k, x).value == v_k(b, k, x).value
+            assert v_k(a, k, x) == v_k(b, k, x)
 
     def test_domain(self, tables):
         with pytest.raises(RangeError):
@@ -163,8 +163,8 @@ class TestVkAccuracy:
         keep = ~np.isin(n, (int(t.q[k - 1]), q_k - int(t.q[k - 1])))
         for x in (-0.9, 0.3, 0.85):
             terms = w / np.tan(pi * (r.astype(np.longdouble) + np.longdouble(x)) / q_k)
-            assert abs(v_k(t, k, x).value - float(np.sum(terms))) <= 1e-14, x
-            assert abs(v_k_star(t, k, x).value - float(np.sum(terms[keep]))) <= 1e-14, x
+            assert abs(v_k(t, k, x) - float(np.sum(terms))) <= 1e-14, x
+            assert abs(v_k_star(t, k, x) - float(np.sum(terms[keep]))) <= 1e-14, x
 
     def test_memory_is_per_block(self):
         # O(CHUNK) temporaries: q_5 = 772,920 int64 residues alone are 6 MB
@@ -178,12 +178,102 @@ class TestVkAccuracy:
         assert peak < 16e6
 
 
+class TestVkGrid:
+    """The sequence form: one power-sum pass over the blocks for every x."""
+
+    def test_matches_scalar(self):
+        t = build_table("[0;(15)]", 6)
+        for k in (4, 5):
+            for f, grid in ((v_k, np.linspace(-0.99, 0.99, 11)),
+                            (v_k_star, np.linspace(-1.99, 1.99, 11))):
+                got = f(t, k, grid)
+                assert isinstance(got, list) and len(got) == len(grid)
+                for x, g in zip(grid.tolist(), got):
+                    assert abs(g - f(t, k, x)) <= 1e-15, (f.__name__, k, x)
+
+    def test_small_tables(self, tables):
+        # q_1 = 5: every term is near; q_2 = 26: 18 of 25 are.  V_2(-0.99) is
+        # 15.09, one term's cot(pi 0.01/26) in all but 0.008, and both forms
+        # are within 3.8e-15 (2 ulps) of mpmath there, so the bound is relative.
+        t = tables["[0;(5)]"]
+        for k in (1, 2):
+            for f, grid in ((v_k, np.linspace(-0.99, 0.99, 9)),
+                            (v_k_star, np.linspace(-1.99, 1.99, 9))):
+                if f is v_k_star and k == 1:
+                    continue
+                for x, g in zip(grid.tolist(), f(t, k, grid)):
+                    assert abs(g - f(t, k, x)) <= 1e-15 * max(1.0, abs(g)), (f.__name__, k, x)
+
+    def test_only_zero(self):
+        # tau = 0: every term is far and only the first power sum is left
+        t = build_table("[0;(15)]", 6)
+        for k in (2, 5):
+            assert v_k(t, k, [0.0, -0.0]) == pytest.approx([v_k(t, k, 0.0)] * 2, abs=1e-15)
+            assert v_k_star(t, k, [0.0, 0.0]) == pytest.approx([v_k_star(t, k, 0.0)] * 2,
+                                                               abs=1e-15)
+
+    def test_one_element_is_the_scalar_form(self):
+        t = build_table("[0;(15)]", 6)
+        assert v_k(t, 4, [0.3]) == [v_k(t, 4, 0.3)]
+        assert v_k_star(t, 4, (-1.5,)) == [v_k_star(t, 4, -1.5)]
+        assert v_k(t, 4, []) == []
+
+    def test_pole_raises_as_in_scalar_form(self):
+        # r_n = -1 with x = 1 - 1e-12 (V_k) and r_n = -2 with x = 2 - 1e-12 (V_k*)
+        # are within the 1e-9 guard of a pole
+        t = build_table("[0;(15)]", 6)
+        for sign in (1, -1):
+            for f, x in ((v_k, sign * (1 - 1e-12)), (v_k_star, sign * (2 - 1e-12))):
+                with pytest.raises(PoleError):
+                    f(t, 4, x)
+                with pytest.raises(PoleError):
+                    f(t, 4, [0.3, x, -0.5])
+
+    def test_domain(self, tables):
+        with pytest.raises(RangeError):
+            v_k(tables["[0;(5)]"], 3, [0.0, 1.0])
+        with pytest.raises(RangeError):
+            v_k_star(tables["[0;(5)]"], 3, [0.0, float("nan")])
+        with pytest.raises(RangeError):
+            v_k(tables["[0;(5)]"], 3, [[0.1, 0.2]])
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                        reason="needs an 80-bit long double")
+    def test_long_double_oracle(self):
+        # as TestVkAccuracy, for the grid form and closer to the poles at +-1
+        t = build_table("[0;(15)]", 6)
+        k = 5
+        q_k = int(t.q[k])
+        n = np.arange(1, q_k, dtype=np.int64)
+        r = (-n * t.p[k]) % q_k
+        r[2 * r >= q_k] -= q_k
+        pi = np.longdouble(np.pi)
+        w = np.sin(pi * n.astype(np.longdouble) * np.longdouble(float(t.theta[k]) / q_k))
+        keep = ~np.isin(n, (int(t.q[k - 1]), q_k - int(t.q[k - 1])))
+        xs = [-0.99, -0.9, 0.3, 0.85, 0.99]
+        for x, v, v_star in zip(xs, v_k(t, k, xs), v_k_star(t, k, xs)):
+            terms = w / np.tan(pi * (r.astype(np.longdouble) + np.longdouble(x)) / q_k)
+            assert abs(v - float(np.sum(terms))) <= 1e-15, x
+            assert abs(v_star - float(np.sum(terms[keep]))) <= 1e-15, x
+
+    def test_memory_is_per_block(self):
+        t = build_table("[0;(15)]", 6)
+        grid = np.linspace(-0.99, 0.99, 101)
+        tracemalloc.start()
+        try:
+            v_k(t, 5, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+
 class TestVkStar:
     def test_excluded_terms_reconstruct_vk(self):
         t = build_table("[0;(15)]", 5)
         k, x = 4, 0.4
-        full = v_k(t, k, x).value
-        star = v_k_star(t, k, x).value
+        full = v_k(t, k, x)
+        star = v_k_star(t, k, x)
         q_k, sign = int(t.q[k]), (-1) ** k
         theta = float(t.theta[k])
         back = 0.0
@@ -196,9 +286,9 @@ class TestVkStar:
 
     def test_finite_at_one_where_vk_blows_up(self):
         t = build_table("[0;(15)]", 5)
-        star = v_k_star(t, 4, 1.0).value
+        star = v_k_star(t, 4, 1.0)
         assert abs(star) < 1.0
-        near_pole = v_k(t, 4, 0.999999).value
+        near_pole = v_k(t, 4, 0.999999)
         assert abs(near_pole) > 10 * abs(star)
 
     def test_starred_envelope_frozen(self, fixtures):
@@ -209,7 +299,7 @@ class TestVkStar:
                 delta = float(t.delta[k])
                 for x in (-1.5, 0.0, 1.5):
                     resid = abs(
-                        v_k_star(t, k, x).value / delta
+                        v_k_star(t, k, x) / delta
                         - (math.log(a / (2 * math.pi)) - digamma(2.0 + x))
                     )
                     shape = (1 + 2 * math.log(a)) / ((2 - abs(x)) * a)
