@@ -2,10 +2,11 @@
 
 A ConvergentTable carries exact big-integer convergents p_k/q_k together with
 high-precision values of theta_k = ||q_k alpha||, delta_k = q_k ||q_k alpha||
-and eta_k = q_k ||q_{k+1} alpha||.  The delta values are produced from the
-continued-fraction tails (exact quadratic surds for periodic alpha, deep
-truncated tails for rule-generated alpha), never from the unstable
-three-term recursion for ||q_k alpha||.
+and eta_k = q_k ||q_{k+1} alpha||.  Every theta_k is the exact integer
+|q_k p_N - p_k q_N| over q_N, rounded once, for one deep convergent p_N/q_N:
+the last one of a rational alpha, so its table is exact, and for periodic and
+rule-generated alpha the first that holds theta_k to 2^-(wb+17) relative.
+Nothing comes from the unstable three-term recursion for ||q_k alpha||.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import (
     SudlerError,
 )
 from .numerics import CHUNK, frac_parts_dd  # noqa: F401  (the benchmark tracer resolves it here)
-from .surd import Surd, periodic_tail, prepend_digits
 
 # Named digit generators for well-approximable test numbers.  Each maps the
 # index k >= 1 to the partial quotient a_k.
@@ -57,16 +57,8 @@ class AlphaSpec:
             raise SudlerError(f"unknown rule {self.rule!r}")
 
     @property
-    def kind(self) -> str:
-        if self.rule is not None:
-            return "rule"
-        if self.period is not None:
-            return "periodic"
-        return "rational"
-
-    @property
     def is_rational(self) -> bool:
-        return self.kind == "rational"
+        return self.period is None and self.rule is None
 
     def partial_quotient(self, k: int) -> int:
         """a_k for k >= 1."""
@@ -175,13 +167,10 @@ class PrecisionConfig:
     """Working precision for the real scalars derived from a table."""
 
     working_bits: int = 256
-    tail_depth: int = 64
 
     def __post_init__(self):
         if self.working_bits < 64:
             raise SudlerError("working_bits must be >= 64")
-        if self.tail_depth < 1:
-            raise SudlerError("tail_depth must be >= 1")
 
 
 class ConvergentTable:
@@ -217,7 +206,8 @@ class ConvergentTable:
     def rational_value(self) -> Fraction:
         if not self.is_rational:
             raise SudlerError("alpha is not rational")
-        return _fold_rational(self.alpha)
+        _, p, q = _convergents(self.alpha)
+        return Fraction(p[-1], q[-1])
 
     # --- scalar fractional parts at working precision ---
 
@@ -328,13 +318,21 @@ def _reduce_once(x: np.ndarray, Q: int) -> np.ndarray:
     return x
 
 
-def _fold_rational(alpha: AlphaSpec) -> Fraction:
-    """Exact value of a finite continued fraction."""
-    digits = (alpha.integer_part,) + alpha.preperiod
-    x = Fraction(digits[-1])
-    for c in reversed(digits[:-1]):
-        x = c + 1 / x
-    return x
+def _convergents(alpha: AlphaSpec, deep_enough=None) -> tuple[list, list, list]:
+    """Partial quotients a[k] and convergents p[k]/q[k] from k = 0 on.
+
+    The recursion p_k = a_k p_{k-1} + p_{k-2} (q_k likewise, from p_{-1} = 1,
+    q_{-1} = 0) runs to the last index of a rational alpha, where p/q is alpha
+    itself, and otherwise until deep_enough(q) holds.
+    """
+    a, p, q = [0], [alpha.integer_part], [1]
+    while (len(a) <= len(alpha.preperiod) if alpha.is_rational
+           else not deep_enough(q)):
+        c = alpha.partial_quotient(len(a))
+        a.append(c)
+        p.append(c * p[-1] + (p[-2] if len(p) > 1 else 1))
+        q.append(c * q[-1] + (q[-2] if len(q) > 1 else 0))
+    return a, p, q
 
 
 def build_table(alpha: AlphaSpec | str, K_max: int,
@@ -356,131 +354,37 @@ def build_table(alpha: AlphaSpec | str, K_max: int,
     K_hi = K_max + 1
     if rational_len is not None:
         K_hi = min(K_hi, rational_len)
+    wb = cfg.working_bits
 
-    a = [0] * (K_hi + 1)
-    for k in range(1, K_hi + 1):
-        a[k] = alpha.partial_quotient(k)
+    def deep_enough(q):
+        # For k < N, |theta_k - |q_k p_N - p_k q_N|/q_N| < q_k/(q_N q_{N+1})
+        # and theta_k > 1/(2 q_{k+1}), so stopping at the first N with
+        # q_N q_{N+1} >= 2^(wb+18) q_{K_hi} q_{K_hi+1} holds every theta_k,
+        # k <= K_hi, to 2^-(wb+17) relative.  That N exceeds K_hi.
+        return (len(q) >= K_hi + 2
+                and q[-2] * q[-1] >= (q[K_hi] * q[K_hi + 1]) << (wb + 18))
 
-    p = [0] * (K_hi + 1)
-    q = [0] * (K_hi + 1)
-    p[0], q[0] = alpha.integer_part, 1
-    if K_hi >= 1:
-        p[1], q[1] = alpha.integer_part * a[1] + 1, a[1]
-    for k in range(2, K_hi + 1):
-        p[k] = a[k] * p[k - 1] + p[k - 2]
-        q[k] = a[k] * q[k - 1] + q[k - 2]
-    for k in range(K_hi):
+    a, p, q = _convergents(alpha, deep_enough)
+    for k in range(len(q) - 1):
         det = q[k + 1] * p[k] - q[k] * p[k + 1]
         if det != (-1) ** (k + 1):
             raise SudlerError(f"determinant identity failed at k={k}")
 
-    builder = _ThetaBuilder(alpha, cfg, a, p, q, K_hi)
-    theta_hi = K_max + 1 if rational_len is None else K_hi
-    theta = [builder.theta(k) for k in range(theta_hi + 1)]
-    wb = cfg.working_bits
+    # theta_k = |q_k alpha - p_k|, read off p_N/q_N (the last index of a
+    # rational alpha, so exact there).  theta_0 = {alpha} differs from
+    # ||q_0 alpha|| only when a_1 = 1; the signed-distance convention is the
+    # one under which theta decreases strictly and
+    # q_{k+1} theta_k + q_k theta_{k+1} = 1 holds from k = 0.
+    N = len(q) - 1 if rational_len is not None else len(q) - 2
+    P, Q = p[N], q[N]
     with mpmath.workprec(wb + 16):
-        delta = [theta[k] * q[k] for k in range(min(K_max, theta_hi) + 1)]
-        eta = [q[k] * theta[k + 1] for k in range(min(K_max, theta_hi - 1) + 1)]
+        theta = [mpmath.fdiv(abs(q[k] * P - p[k] * Q), Q) for k in range(K_hi + 1)]
+        delta = [theta[k] * q[k] for k in range(K_max + 1)]
+        eta = [q[k] * theta[k + 1] for k in range(min(K_max, K_hi - 1) + 1)]
+        alpha_value = mpmath.fdiv(P, Q)
     for k in range(len(theta) - 1):
         if not theta[k] > theta[k + 1]:
             raise SudlerError(f"theta not strictly decreasing at k={k}")
 
-    return ConvergentTable(alpha, K_max, cfg, a, p, q, theta, delta, eta,
-                           builder.alpha_value())
-
-
-class _ThetaBuilder:
-    """Computes ||q_k alpha|| from continued-fraction tails."""
-
-    def __init__(self, alpha, cfg, a, p, q, K_hi):
-        self.alpha = alpha
-        self.cfg = cfg
-        self.a = a
-        self.p = p
-        self.q = q
-        self.K_hi = K_hi
-        self._rot_cache: dict[int, Surd] = {}
-
-    # tail_from(j) = value of [a_j; a_{j+1}, a_{j+2}, ...]
-
-    def _tail_surd(self, j: int) -> Surd:
-        k0 = len(self.alpha.preperiod)
-        per = self.alpha.period
-        if j >= k0 + 1:
-            r = (j - k0 - 1) % len(per)
-            if r not in self._rot_cache:
-                digits = tuple(per[(r + i) % len(per)] for i in range(len(per)))
-                self._rot_cache[r] = periodic_tail(digits)
-            return self._rot_cache[r]
-        head = tuple(self.alpha.partial_quotient(i) for i in range(j, k0 + 1))
-        return prepend_digits(self._tail_surd(k0 + 1), head)
-
-    def _tail_mpf(self, j: int):
-        """Truncated tail for rule alpha, validated against the precision budget."""
-        wb = self.cfg.working_bits
-        depth = self.cfg.tail_depth
-        h0, h1 = 1, self.alpha.partial_quotient(j)
-        k0, k1 = 0, 1
-        for i in range(1, depth):
-            c = self.alpha.partial_quotient(j + i)
-            h0, h1 = h1, c * h1 + h0
-            k0, k1 = k1, c * k1 + k0
-        # Truncation error of a continued-fraction tail is below 1/k1^2.
-        if 2 * k1.bit_length() - 2 < wb // 2:
-            raise PrecisionError(
-                f"tail_depth={depth} leaves truncation error above 2^-{wb // 2}"
-            )
-        with mpmath.workprec(wb + 16):
-            return mpmath.mpf(h1) / k1
-
-    def theta(self, k: int):
-        wb = self.cfg.working_bits
-        kind = self.alpha.kind
-        if kind == "rational":
-            diff = abs(self.q[k] * _fold_rational(self.alpha) - self.p[k])
-            with mpmath.workprec(wb + 16):
-                return mpmath.mpf(diff.numerator) / diff.denominator
-        if k == 0:
-            return self._theta0()
-        q_k, q_km1 = self.q[k], self.q[k - 1]
-        if kind == "periodic":
-            tail = self._tail_surd(k + 1)
-            # theta_k = 1 / (q_k * tail + q_{k-1}), exact until one rounding
-            return tail.mobius(0, q_k, 1, q_km1).to_mpf(wb)
-        tail = self._tail_mpf(k + 1)
-        with mpmath.workprec(wb + 16):
-            return 1 / (q_k * tail + q_km1)
-
-    def _theta0(self):
-        # theta_0 is |q_0 alpha - p_0| = {alpha}, which differs from
-        # ||q_0 alpha|| only when a_1 = 1; the signed-distance convention is
-        # the one under which theta decreases strictly and
-        # q_{k+1} theta_k + q_k theta_{k+1} = 1 holds from k = 0.
-        wb = self.cfg.working_bits
-        if self.alpha.kind == "periodic":
-            return self._tail_surd(1).reciprocal().to_mpf(wb)
-        tail = self._tail_mpf(1)
-        with mpmath.workprec(wb + 16):
-            return 1 / tail
-
-    def alpha_value(self):
-        wb = self.cfg.working_bits
-        kind = self.alpha.kind
-        if kind == "rational":
-            val = _fold_rational(self.alpha)
-            with mpmath.workprec(wb + 16):
-                return mpmath.mpf(val.numerator) / val.denominator
-        if kind == "periodic":
-            x = self._tail_surd(1).reciprocal().add_rational(self.alpha.integer_part)
-            return x.to_mpf(wb)
-        # Rule: deepen convergents until q_j^2 resolves alpha to working precision.
-        h0, h1 = 1, self.alpha.partial_quotient(1)
-        g0, g1 = self.alpha.integer_part, self.alpha.integer_part * h1 + 1
-        j = 1
-        while 2 * (h1.bit_length() - 1) < wb + 4:
-            j += 1
-            c = self.alpha.partial_quotient(j)
-            g0, g1 = g1, c * g1 + g0
-            h0, h1 = h1, c * h1 + h0
-        with mpmath.workprec(wb + 16):
-            return mpmath.mpf(g1) / h1
+    return ConvergentTable(alpha, K_max, cfg, a[:K_hi + 1], p[:K_hi + 1],
+                           q[:K_hi + 1], theta, delta, eta, alpha_value)

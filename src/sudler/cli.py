@@ -32,8 +32,6 @@ from .theorems import (
     vol41,
 )
 
-SUITES = ("constants", "decomp", "theorem1", "theorem2", "theorem3", "limits")
-
 
 def _parse_grid(text: str) -> np.ndarray:
     try:
@@ -264,17 +262,19 @@ def _suite_limits(args, fixtures) -> list[PredictionReport]:
     return reports
 
 
+SUITES = {
+    "constants": _suite_constants,
+    "decomp": _suite_decomp,
+    "theorem1": _suite_theorem1,
+    "theorem2": _suite_theorem2,
+    "theorem3": _suite_theorem3,
+    "limits": _suite_limits,
+}
+
+
 def cmd_verify(args) -> int:
     fixtures = calibration.load_fixtures(args.fixtures)
-    suite_fn = {
-        "constants": _suite_constants,
-        "decomp": _suite_decomp,
-        "theorem1": _suite_theorem1,
-        "theorem2": _suite_theorem2,
-        "theorem3": _suite_theorem3,
-        "limits": _suite_limits,
-    }[args.suite]
-    reports = suite_fn(args, fixtures)
+    reports = SUITES[args.suite](args, fixtures)
     ok = all(r.passed for r in reports)
     for r in reports:
         tag = "PASS" if r.passed else "FAIL"

@@ -51,7 +51,6 @@ def table_to_dict(table: ConvergentTable) -> dict:
         "alpha": table.alpha.render(),
         "K_max": table.K_max,
         "working_bits": table.cfg.working_bits,
-        "tail_depth": table.cfg.tail_depth,
         "a": [str(x) for x in table.a],
         "p": [str(x) for x in table.p],
         "q": [str(x) for x in table.q],
@@ -66,7 +65,7 @@ def table_from_dict(d: dict) -> ConvergentTable:
     if d.get("schema_version") != SCHEMA_VERSION:
         raise SudlerError(f"unsupported schema_version {d.get('schema_version')!r}")
     alpha = parse_alpha(d["alpha"])
-    cfg = PrecisionConfig(working_bits=d["working_bits"], tail_depth=d["tail_depth"])
+    cfg = PrecisionConfig(working_bits=d["working_bits"])
     return ConvergentTable(
         alpha, d["K_max"], cfg,
         [int(x) for x in d["a"]],

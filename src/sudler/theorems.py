@@ -85,13 +85,14 @@ def _b2_interval_closed(s: np.ndarray) -> np.ndarray:
     )
 
 
-def bernoulli_b2_integrals(front: int = 64, tail: int = 200_000) -> tuple[float, float]:
+def bernoulli_b2_integrals() -> tuple[float, float]:
     """Numeric values of int_1^inf B2({x})/(x-5/6)^2 dx and int_1^inf B2({x})/x^2 dx.
 
-    The first `front` unit periods are integrated with Gauss-Legendre nodes,
-    the remainder with the per-period closed form; the neglected remainder is
-    O(tail^-3) and far below the 1e-6 comparison tolerance.
+    The first 64 unit periods are integrated with Gauss-Legendre nodes, the
+    rest up to x = 200,000 with the per-period closed form; the neglected
+    remainder is O(200,000^-3) and far below the 1e-6 comparison tolerance.
     """
+    front, tail = 64, 200_000
     nodes, weights = np.polynomial.legendre.leggauss(24)
     t = 0.5 * (nodes + 1.0)
     w = 0.5 * weights

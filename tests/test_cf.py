@@ -16,10 +16,9 @@ from sudler import (
     build_table,
     parse_alpha,
 )
+from sudler.limitfn import limit_constants
 from sudler.numerics import CHUNK, frac_parts_dd, log_two_sin
 from sudler.serialize import mpf_from_hex, mpf_to_hex, table_from_dict, table_to_dict
-from sudler.surd import Surd, periodic_tail
-
 
 
 def frac_part_via_convergent(t, n, k):
@@ -86,28 +85,6 @@ class TestParse:
         assert err.value.position is not None
 
 
-class TestSurd:
-    def test_golden_fixed_point(self):
-        phi = periodic_tail((1,))
-        assert abs(float(phi) - (1 + math.sqrt(5)) / 2) < 1e-12
-
-    def test_floor_exact(self):
-        x = periodic_tail((1,))  # golden ratio
-        assert x.floor() == 1
-        assert x.scale(100).floor() == 161  # 100*phi = 161.80...
-        assert x.scale(-1).floor() == -2
-
-    def test_reciprocal_mul(self):
-        x = periodic_tail((2,))  # 1 + sqrt(2)
-        y = x.mul(x.reciprocal())
-        assert y.a == Fraction(1) and y.b == 0
-
-    def test_sign(self):
-        x = Surd(Fraction(-3), Fraction(1), 5)  # sqrt(5) - 3 < 0
-        assert x.sign() == -1
-        assert Surd(Fraction(-2), Fraction(1), 5).sign() == 1
-
-
 class TestBuildTable:
     def test_convergents_golden(self):
         t = build_table("golden", 8)
@@ -168,10 +145,56 @@ class TestBuildTable:
             d = float(t.delta[k])
             assert 1.0 / (t.a[k + 1] + 2) <= d <= 1.0 / t.a[k + 1]
 
-    def test_rule_tail_depth_too_small(self):
-        with pytest.raises(PrecisionError):
-            build_table("rule:powers-of-two", 4,
-                        PrecisionConfig(working_bits=256, tail_depth=2))
+
+def _single_quotient(a):
+    """[0;(a)] = (sqrt(a^2+4) - a)/2 at the current mpmath precision."""
+    return lambda: (mpmath.sqrt(a * a + 4) - a) / 2
+
+
+class TestDeepConvergent:
+    """theta_k for k <= K_max + 1 to 2^-(wb+8) relative, from one deep convergent."""
+
+    @staticmethod
+    def _check(t, exact_theta):
+        wb = t.cfg.working_bits
+        assert len(t.theta) == t.K_max + 2
+        for k, theta in enumerate(t.theta):
+            ref = exact_theta(k)
+            assert abs(theta - ref) < ref * mpmath.mpf(2) ** -(wb + 8), k
+
+    @pytest.mark.parametrize("wb", [64, 256, 1024])
+    @pytest.mark.parametrize("spec,K,closed_form", [
+        pytest.param("[0;(1)]", 100, _single_quotient(1), id="a1"),
+        pytest.param("[0;(3)]", 60, _single_quotient(3), id="a3"),
+        pytest.param("[0;(12)]", 40, _single_quotient(12), id="a12"),
+        pytest.param("[0;(50)]", 30, _single_quotient(50), id="a50"),
+        pytest.param("golden", 100, lambda: (1 + mpmath.sqrt(5)) / 2, id="golden"),
+        pytest.param("sqrt2", 80, lambda: mpmath.sqrt(2), id="sqrt2"),
+    ])
+    def test_closed_forms(self, spec, K, closed_form, wb):
+        t = build_table(spec, K, PrecisionConfig(working_bits=wb))
+        # 4*wb bits, plus the bits that cancel in q_k alpha - p_k.
+        with mpmath.workprec(4 * wb + 2 * t.q[-1].bit_length()):
+            alpha = closed_form()
+            self._check(t, lambda k: abs(t.q[k] * alpha - t.p[k]))
+
+    @pytest.mark.parametrize("wb", [64, 256, 1024])
+    @pytest.mark.parametrize("spec,K", [
+        ("rule:powers-of-two", 16), ("[0;(1,1000000000000)]", 30),
+    ])
+    def test_against_deep_table(self, spec, K, wb):
+        t = build_table(spec, K, PrecisionConfig(working_bits=wb))
+        ref = build_table(spec, K, PrecisionConfig(working_bits=4096))
+        assert (t.p, t.q) == (ref.p, ref.q)
+        with mpmath.workprec(4112):
+            self._check(t, lambda k: ref.theta[k])
+
+    @pytest.mark.parametrize("a", [1, 2, 5, 12, 50])
+    def test_limit_constants_closed_form(self, a):
+        lc = limit_constants(f"[0;({a})]", 1)
+        with mpmath.workprec(256):
+            s = mpmath.sqrt(a * a + 4)
+            assert (lc.C_r, lc.D_r) == (float(1 / s), float((s - a) / (2 * s)))
 
 
 class TestFracPart:
@@ -303,6 +326,15 @@ class TestSerialization:
         t2 = table_from_dict(doc)
         assert table_to_dict(t2) == doc
         assert t2.theta[5] == t.theta[5]
+
+    def test_loads_document_with_tail_depth(self, tables):
+        # `cf --out` files written before the deep-convergent tables carry
+        # a "tail_depth" key; it is ignored.
+        t = tables["[0;2,(1,4)]"]
+        doc = dict(table_to_dict(t), tail_depth=64)
+        t2 = table_from_dict(doc)
+        assert table_to_dict(t2) == table_to_dict(t)
+        assert t2.cfg == t.cfg
 
     def test_spec_invariants(self):
         with pytest.raises(Exception):

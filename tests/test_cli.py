@@ -295,7 +295,7 @@ _ARGVS = st.one_of(
           st.sampled_from(["fig1", "fig2", "fig3", "fig4"]),
           st.just("--grid"), _GRIDS, st.just("--budget"), st.sampled_from([0, 25000, 60000])),
     _argv(st.just("verify"), _COMMON, st.just("--suite"),
-          st.sampled_from(SUITES + ("nope",)), st.just("--K"), st.integers(-1, 3),
+          st.sampled_from(tuple(SUITES) + ("nope",)), st.just("--K"), st.integers(-1, 3),
           _opt("--c", st.sampled_from(["2", "-1", "abc", "nan", "inf"])),
           _opt("--seed", st.integers(0, 3))),
     st.sampled_from([[], ["--version"], ["calibrate", "--out"], ["calibrate", "--bogus"]]),
