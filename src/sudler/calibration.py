@@ -208,7 +208,7 @@ def _un_residual() -> dict:
         digits = encode(table, int(N), K=K)
         if any(b > cutoff for b in digits.digits[1:]):
             continue
-        un = u_n_log(table, digits, k0=1)
+        un = u_n_log(table, digits)
         resids.append(
             log_sudler(table, int(N)).require_nonzero() - un.log_u - un.below_k0_log
         )

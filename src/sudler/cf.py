@@ -55,6 +55,12 @@ class AlphaSpec:
                 raise SudlerError(f"partial quotient {a} must be >= 1")
         if self.rule is not None and self.rule not in RULES:
             raise SudlerError(f"unknown rule {self.rule!r}")
+        if self.is_rational and len(self.preperiod) >= 2 and self.preperiod[-1] == 1:
+            # [..., c, 1] = [..., c + 1]: two expansions, and theta_{n-1} = theta_n.
+            same = AlphaSpec(self.integer_part,
+                             self.preperiod[:-2] + (self.preperiod[-2] + 1,))
+            raise SudlerError(f"{self.render()} ends in the partial quotient 1; "
+                              f"write it as {same.render()}")
 
     @property
     def is_rational(self) -> bool:

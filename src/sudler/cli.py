@@ -200,12 +200,12 @@ def _suite_constants(args, fixtures) -> list[PredictionReport]:
     n1, n2 = bernoulli_b2_integrals()
     c1, c2 = bernoulli_b2_closed_forms()
     return [
-        PredictionReport.make("Vol(4_1)", 2.02988, v, 5e-6),
-        PredictionReport.make("9 Vol / 25 pi", 0.23260748, 9 * v / (25 * math.pi), 1e-8),
-        PredictionReport.make("Gamma(1/6) Gamma(5/6) = 2 pi", twopi,
-                              math.gamma(1 / 6) * math.gamma(5 / 6), twopi * 1e-10),
-        PredictionReport.make("B2 integral at 5/6", c1, n1, 1e-6),
-        PredictionReport.make("B2 integral at 0", c2, n2, 1e-6),
+        PredictionReport("Vol(4_1)", 2.02988, v, 5e-6),
+        PredictionReport("9 Vol / 25 pi", 0.23260748, 9 * v / (25 * math.pi), 1e-8),
+        PredictionReport("Gamma(1/6) Gamma(5/6) = 2 pi", twopi,
+                         math.gamma(1 / 6) * math.gamma(5 / 6), twopi * 1e-10),
+        PredictionReport("B2 integral at 5/6", c1, n1, 1e-6),
+        PredictionReport("B2 integral at 0", c2, n2, 1e-6),
     ]
 
 
@@ -219,7 +219,7 @@ def _suite_decomp(args, fixtures) -> list[PredictionReport]:
         total = decompose(table, digits).total
         direct = float(res.values[N])
         worst = max(worst, abs(total - direct) / (1.0 + abs(direct)))
-    return [PredictionReport.make(f"decomposition identity N<q_{K}", 0.0, worst, 1e-9)]
+    return [PredictionReport(f"decomposition identity N<q_{K}", 0.0, worst, 1e-9)]
 
 
 def _suite_theorem1(args, fixtures) -> list[PredictionReport]:
@@ -252,13 +252,13 @@ def _suite_limits(args, fixtures) -> list[PredictionReport]:
     sup = float(np.max(np.abs(
         empirical_limit(table15, 4, grid) - g_alpha(15, grid)
     )))
-    reports = [PredictionReport.make("a=15 k=4 curve vs closed form", 0.0, sup, budget)]
+    reports = [PredictionReport("a=15 k=4 curve vs closed form", 0.0, sup, budget)]
     table250 = build_table("[0;(2,50)]", 5)
     cross_grid = np.round(np.arange(0.5, 1.0001, 0.005), 10)
     c4 = crossing_abscissa(cross_grid, empirical_limit(table250, 4, cross_grid))
     c5 = crossing_abscissa(cross_grid, empirical_limit(table250, 5, cross_grid))
-    reports.append(PredictionReport.make("fig2 crossing k=4", 0.95, c4, 0.02))
-    reports.append(PredictionReport.make("fig2 crossing k=5", 5.0 / 6.0, c5, 0.02))
+    reports.append(PredictionReport("fig2 crossing k=4", 0.95, c4, 0.02))
+    reports.append(PredictionReport("fig2 crossing k=5", 5.0 / 6.0, c5, 0.02))
     return reports
 
 
@@ -378,11 +378,19 @@ def main(argv=None) -> int:
         if tok == "--grid" and argv[i + 1].startswith("-"):
             argv[i : i + 2] = [f"--grid={argv[i + 1]}"]
             break
-    args = ap.parse_args(argv)
     try:
-        return args.fn(args)
-    except SudlerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            args = ap.parse_args(argv)
+            return args.fn(args)
+        except SudlerError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's recipe for a reader that closed the pipe: point stdout at
+        # devnull so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -28,8 +28,6 @@ class LimitConstants:
 
     C_r: float
     D_r: float
-    r: int
-    p: int
 
 
 def limit_constants(alpha: AlphaSpec | str, r: int) -> LimitConstants:
@@ -57,7 +55,7 @@ def limit_constants(alpha: AlphaSpec | str, r: int) -> LimitConstants:
         D = gamma * C
     if not 0 < float(D) < float(C) < 1:
         raise SudlerError("limit constants failed the 0 < D < C < 1 sanity check")
-    return LimitConstants(float(C), float(D), r, p)
+    return LimitConstants(float(C), float(D))
 
 
 def _three_sinc(x: np.ndarray) -> np.ndarray:
@@ -131,17 +129,16 @@ def empirical_limit(table: ConvergentTable, k: int, grid,
                     dtype=np.float64)
 
 
-def crossing_abscissa(grid: np.ndarray, curve: np.ndarray, level: float = 1.0,
-                      lo: float = 0.5, hi: float = 1.0) -> float:
-    """Last downward crossing of `level` by the curve on [lo, hi], by linear interpolation."""
+def crossing_abscissa(grid: np.ndarray, curve: np.ndarray) -> float:
+    """Last downward crossing of 1 by the curve on [1/2, 1], by linear interpolation."""
     xs = np.asarray(grid, dtype=np.float64)
     ys = np.asarray(curve, dtype=np.float64)
-    sel = (xs >= lo) & (xs <= hi)
+    sel = (xs >= 0.5) & (xs <= 1.0)
     xs, ys = xs[sel], ys[sel]
     hits = []
     for i in range(len(xs) - 1):
-        if (ys[i] - level) > 0.0 >= (ys[i + 1] - level):
-            t = (level - ys[i]) / (ys[i + 1] - ys[i])
+        if ys[i] > 1.0 >= ys[i + 1]:
+            t = (1.0 - ys[i]) / (ys[i + 1] - ys[i])
             hits.append(xs[i] + t * (xs[i + 1] - xs[i]))
     if not hits:
         raise SudlerError("curve does not cross the level on the window")

@@ -17,7 +17,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .cf import ConvergentTable, _residues, _signed_residues
@@ -261,31 +260,32 @@ class Decomposition:
 
     factors: tuple  # entries (k, b, factor_log)
     total: float
-    n_terms: int
 
 
-def block_shifts(table: ConvergentTable, digits: OstrowskiDigits, k: int, eps) -> list:
-    """Shifts (-1)^k (b delta_k + eps_k) / q_k of the b_k length-q_k blocks at digit k.
+def block_args(table: ConvergentTable, digits: OstrowskiDigits, k: int, eps) -> np.ndarray:
+    """x_b = b delta_k + eps_k for 0 <= b <= b_k as one float64 vector, empty if b_k = 0.
 
-    eps is the digit vector's epsilon_profile.  Each inner argument
-    b*delta_k + eps_k is re-checked against (-1, 1) at runtime; a violation
+    eps is the digit vector's epsilon_profile.  x_0 .. x_{b_k - 1} are the
+    arguments of the blocks at digit k, x_{b_k} gives the block surrogate's
+    boundary term.  Each x_b is within 4 half-ulps of max(b delta_k, |eps_k|,
+    |x_b|) of the exact value.  Every x_b must lie in (-1, 1); a violation
     indicates an upstream bug and raises.
     """
     b_k = digits.digits[k]
     if b_k < 1:
-        return []
+        return np.empty(0)
+    x = float(table.delta[k]) * np.arange(b_k + 1) + float(eps[k])
+    bad = np.flatnonzero(~((-1.0 < x) & (x < 1.0)))
+    if bad.size:
+        b = int(bad[0])
+        raise AssertionError(f"block argument {x[b]} outside (-1,1) at k={k}, b={b}")
+    return x
+
+
+def block_shifts(table: ConvergentTable, digits: OstrowskiDigits, k: int, eps) -> np.ndarray:
+    """Shifts (-1)^k x_b / q_k of the b_k length-q_k blocks at digit k (see block_args)."""
     sign = 1 if k % 2 == 0 else -1
-    shifts = []
-    with mpmath.workprec(table.cfg.working_bits + 16):
-        lo, hi = mpmath.mpf(-1), mpmath.mpf(1)
-        for b in range(b_k):
-            arg = b * table.delta[k] + eps[k]
-            if not (lo < arg < hi):
-                raise AssertionError(
-                    f"shift argument {float(arg)} outside (-1,1) at k={k}, b={b}"
-                )
-            shifts.append(float(sign * arg / table.q[k]))
-    return shifts
+    return sign * block_args(table, digits, k, eps)[:-1] / table.q[k]
 
 
 def decompose(table: ConvergentTable, digits: OstrowskiDigits) -> Decomposition:
@@ -296,9 +296,8 @@ def decompose(table: ConvergentTable, digits: OstrowskiDigits) -> Decomposition:
     for k in range(digits.K):
         blocks = log_sudler_shifted(table, table.q[k], block_shifts(table, digits, k, eps))
         factors.extend((k, b, lp.require_nonzero()) for b, lp in enumerate(blocks))
-    n_terms = sum(b_k * table.q[k] for k, b_k in enumerate(digits.digits))
     total = kahan_sum(f for _, _, f in factors)
-    return Decomposition(tuple(factors), total, n_terms)
+    return Decomposition(tuple(factors), total)
 
 
 def b_transfer(table: ConvergentTable, k: int, M: int, x: float) -> float:

@@ -18,7 +18,7 @@ from .cf import ConvergentTable
 from .cotangent import v_k
 from .errors import RangeError, SudlerError
 from .ostrowski import OstrowskiDigits, decode, encode, epsilon_profile, n_star, project
-from .products import block_shifts, log_sudler, log_sudler_shifted, scan
+from .products import block_args, block_shifts, log_sudler, log_sudler_shifted, scan
 
 # zeta(2n) / (n (2n + 1)), n = 1..25: the Clausen-series coefficients.  At
 # y = 1/2 the 26th term is below 1e-19.
@@ -172,49 +172,43 @@ def d_k_terms(table: ConvergentTable, digits: OstrowskiDigits, K: int) -> list[D
 
 
 def u_k_log(table: ConvergentTable, digits: OstrowskiDigits, k: int) -> float:
-    """log u_k: the digit-k main-term surrogate for the block product."""
+    """log u_k: the digit-k main-term surrogate for the block product.
+
+    It reads the block arguments x_b and the boundary b_k delta_k + eps_k
+    from block_args, as the block products do.
+    """
     digits.require_valid()
     if not 1 <= k < digits.K:
         raise RangeError(f"k={k} outside [1, {digits.K - 1}]")
-    b_k = digits.digits[k]
-    if b_k == 0:
+    if digits.digits[k] == 0:
         return 0.0
-    eps = float(epsilon_profile(digits)[k])
-    delta = float(table.delta[k])
-    xs = delta * np.arange(b_k) + eps
-    sin_part = float(np.sum(np.log(np.abs(2.0 * np.sin(np.pi * xs[1:])))))
-    v_part = sum(v_k(table, k, xs))
-    boundary = math.log(2.0 * math.pi * (b_k * delta + eps))
+    xs = block_args(table, digits, k, epsilon_profile(digits))
+    sin_part = float(np.sum(np.log(np.abs(2.0 * np.sin(np.pi * xs[1:-1])))))
+    v_part = sum(v_k(table, k, xs[:-1]))
+    boundary = math.log(2.0 * math.pi * xs[-1])
     return sin_part + v_part + boundary
 
 
 @dataclass(frozen=True)
 class UNValue:
-    """Block surrogate log U_N over k >= k0, with the below-k0 remainder kept apart."""
+    """Block surrogate log U_N over k >= k0 = 1, with the k = 0 block products kept apart."""
 
     log_u: float
     below_k0_log: float
-    k0: int
 
 
-def u_n_log(table: ConvergentTable, digits: OstrowskiDigits, k0: int = 1) -> UNValue:
+def u_n_log(table: ConvergentTable, digits: OstrowskiDigits) -> UNValue:
     digits.require_valid()
-    if not 1 <= k0 <= digits.K:
-        raise RangeError(f"k0={k0} outside [1, {digits.K}]")
-    total = sum(u_k_log(table, digits, k) for k in range(k0, digits.K))
-    eps = epsilon_profile(digits)
-    below = 0.0
-    for k in range(k0):
-        for lp in log_sudler_shifted(table, table.q[k], block_shifts(table, digits, k, eps)):
-            below += lp.require_nonzero()
-    return UNValue(total, below, k0)
+    total = sum(u_k_log(table, digits, k) for k in range(1, digits.K))
+    shifts = block_shifts(table, digits, 0, epsilon_profile(digits))
+    below = sum(lp.require_nonzero() for lp in log_sudler_shifted(table, table.q[0], shifts))
+    return UNValue(total, below)
 
 
 def e_k_residual(table: ConvergentTable, digits: OstrowskiDigits, k: int) -> float:
     """Defect of the block surrogate against the actual shifted block products."""
     digits.require_valid()
-    b_k = digits.digits[k]
-    if b_k == 0:
+    if digits.digits[k] == 0:
         return 0.0
     shifts = block_shifts(table, digits, k, epsilon_profile(digits))
     blocks = sum(lp.require_nonzero() for lp in log_sudler_shifted(table, table.q[k], shifts))
@@ -230,19 +224,19 @@ class PredictionReport:
     prediction: float
     observed: float
     error_budget: float
-    passed: bool
     one_sided: bool = False
-
-    @staticmethod
-    def make(label: str, prediction: float, observed: float,
-             error_budget: float, one_sided: bool = False) -> "PredictionReport":
-        ok = _residual(prediction, observed, one_sided) <= error_budget
-        return PredictionReport(label, prediction, observed, error_budget, ok,
-                                one_sided)
 
     @property
     def residual(self) -> float:
-        return _residual(self.prediction, self.observed, self.one_sided)
+        # One-sided reports assert observed <= prediction + budget, for cases
+        # where the formula is only an upper bound on the observable.
+        if self.one_sided:
+            return max(0.0, self.observed - self.prediction)
+        return abs(self.prediction - self.observed)
+
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.error_budget
 
     def as_dict(self) -> dict:
         return {
@@ -253,14 +247,6 @@ class PredictionReport:
             "one_sided": self.one_sided,
             "pass": self.passed,
         }
-
-
-def _residual(prediction: float, observed: float, one_sided: bool) -> float:
-    # One-sided reports assert observed <= prediction + budget, for cases
-    # where the formula is only an upper bound on the observable.
-    if one_sided:
-        return max(0.0, observed - prediction)
-    return abs(prediction - observed)
 
 
 def fixture_value(fixtures: dict, key: str, field: str) -> float:
@@ -326,7 +312,7 @@ def pnstar_prediction(table: ConvergentTable, K: int, fixtures: dict) -> Predict
     )
     C_cal, C_alpha = _fixture_pair(fixtures, "theorem3")
     budget = C_cal * theorem3_budget_shape(table, K) + C_alpha
-    return PredictionReport.make(f"pnstar K={K}", prediction, observed, budget)
+    return PredictionReport(f"pnstar K={K}", prediction, observed, budget)
 
 
 def lcnorm_prediction(table: ConvergentTable, K: int, c: float, fixtures: dict,
@@ -345,7 +331,7 @@ def lcnorm_prediction(table: ConvergentTable, K: int, c: float, fixtures: dict,
     prediction = star_log + correction
     C_cal, C_alpha = _fixture_pair(fixtures, "theorem2")
     budget = C_cal * theorem2_budget_shape(table, K, c) + C_alpha
-    return PredictionReport.make(f"lcnorm K={K} c={c}", prediction, observed, budget)
+    return PredictionReport(f"lcnorm K={K} c={c}", prediction, observed, budget)
 
 
 def theorem1_check(table: ConvergentTable, K: int, sample, fixtures: dict,
@@ -371,18 +357,18 @@ def theorem1_check(table: ConvergentTable, K: int, sample, fixtures: dict,
         one_sided = any(t.regime == REGIME_OUT for t in terms)
         prediction = -sum(t.value for t in terms)
         budget = C_cal * (theorem1_formula_shape(terms) + base_shape) + C_alpha
-        out.append(PredictionReport.make(f"N={N}", prediction, observed, budget,
-                                         one_sided=one_sided))
+        out.append(PredictionReport(f"N={N}", prediction, observed, budget,
+                                    one_sided=one_sided))
     return out
 
 
-def quadratic_slope_estimate(table: ConvergentTable, K: int, m: int,
-                             j_max: int = 3) -> float:
+def quadratic_slope_estimate(table: ConvergentTable, K: int, m: int) -> float:
     """Curvature of the single-digit drop around the near-maximizer.
 
-    Second differences of log P across b_m = b_m^* + j cancel the linear
-    slack, leaving the quadratic coefficient (scaled by a_{m+1}).
+    Second differences of log P across b_m = b_m^* + j, |j| <= 3, cancel the
+    linear slack, leaving the quadratic coefficient (scaled by a_{m+1}).
     """
+    j_max = 3
     star = n_star(table, K)
     b_star = star.digits[m]
     a_next = table.a[m + 1]

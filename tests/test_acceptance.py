@@ -246,7 +246,7 @@ def test_criterion_7_theorem1(fx):
     c.check("exhaustive N < q_3", all(r.passed for r in reports))
     c.check("sample size", len(reports) == int(t.q[K]))
     t50 = build_table("[0;(50)]", 4)
-    ests = [quadratic_slope_estimate(t50, 3, m, j_max=3) for m in (1, 2)]
+    ests = [quadratic_slope_estimate(t50, 3, m) for m in (1, 2)]
     est = float(np.mean(ests))
     c.check("quadratic slope within 15%",
             abs(est - QUADRATIC_CONSTANT) / QUADRATIC_CONSTANT < 0.15)

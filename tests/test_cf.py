@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -13,6 +14,7 @@ from sudler import (
     PrecisionConfig,
     PrecisionError,
     RationalDepthError,
+    SudlerError,
     build_table,
     parse_alpha,
 )
@@ -78,6 +80,24 @@ class TestParse:
     def test_errors(self, bad):
         with pytest.raises(ParseError):
             parse_alpha(bad)
+
+    @pytest.mark.parametrize("text, integer_part, preperiod, same", [
+        ("[0;2,1]", 0, (2, 1), "[0;3]"),
+        ("[0;1,1]", 0, (1, 1), "[0;2]"),
+        ("[-1;2,3,1]", -1, (2, 3, 1), "[-1;2,4]"),
+    ])
+    def test_trailing_one_names_the_shorter_spec(self, text, integer_part, preperiod, same):
+        # [..., c, 1] = [..., c + 1], whose table exists; this one's theta ties.
+        with pytest.raises(SudlerError, match=re.escape(same)):
+            parse_alpha(text)
+        with pytest.raises(SudlerError, match=re.escape(same)):
+            AlphaSpec(integer_part, preperiod)
+        assert build_table(same, len(preperiod) - 1).alpha.render() == same
+
+    def test_single_quotient_one_and_inner_ones_still_parse(self):
+        assert build_table("[0;1]", 1).q == [1, 1]
+        assert parse_alpha("[0;1,(1)]").preperiod == (1,)
+        assert parse_alpha("[0;1,2]").preperiod == (1, 2)
 
     def test_error_position(self):
         with pytest.raises(ParseError) as err:

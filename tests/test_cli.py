@@ -24,6 +24,22 @@ def _python(args, **env):
     )
 
 
+def test_closed_stdout_gives_no_traceback():
+    # A reader that is gone before the first write, as in `sudler ... | head -0`.
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sudler.cli", "verify", "--suite", "constants"],
+            stdout=w, stderr=subprocess.PIPE, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode in (0, 1, 2)
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+
+
 def test_verify_constants_stdout(capsys):
     rc = main(["verify", "--suite", "constants"])
     out = capsys.readouterr().out
@@ -260,7 +276,7 @@ def test_non_finite_norm_exponent_exits_1(argv, capsys):
 _INTS = st.integers(-2, 5).map(str) | st.sampled_from(["40", "abc", ""])
 _ALPHAS = st.one_of(
     st.sampled_from(["golden", "[0;2,(1,4)]", "[0;2,3]", "rule:powers-of-two",
-                     "[0;(", "[0;0]", "pi"]),
+                     "[0;(", "[0;0]", "pi", "[0;1]", "[0;2,1]", "[1;3,4,1]"]),
     st.builds("[{};({})]".format, st.integers(-10 ** 20, 10 ** 20), st.integers(1, 6)),
 )
 _GRIDS = st.sampled_from(["-0.9:0.9:0.45", "0.3:0.3:1", "0:1:0.5", "-1.5:1.5:1.5",

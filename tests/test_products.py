@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import random
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from sudler import (
     decompose,
     empirical_limit,
     encode,
+    epsilon_profile,
     log_sudler,
     log_sudler_rational,
     log_sudler_shifted,
@@ -23,7 +26,13 @@ from sudler import (
     scan,
 )
 from sudler.numerics import CHUNK, kahan_sum, log_two_sin
-from sudler.products import _expansion_pays, _log_sudler_direct, _log_sudler_expanded
+from sudler.products import (
+    _expansion_pays,
+    _log_sudler_direct,
+    _log_sudler_expanded,
+    block_args,
+    block_shifts,
+)
 
 
 class TestDirect:
@@ -313,6 +322,50 @@ class TestDecompose:
         t = build_table("[0;2,(1,4)]", 6)
         for N in range(int(t.q[5])):
             decompose(t, encode(t, N, K=5))  # raises on violation
+
+
+class TestBlockArgs:
+    # x_b = b delta_k + eps_k rounds fl(delta_k), its product with b, fl(eps_k)
+    # and the sum once each: an error below 4 half-ulps of the largest of
+    # b delta_k, |eps_k| and |x_b|.  The shift divides by q_k as a float.
+    @pytest.mark.parametrize("spec, K", [
+        ("[0;(2)]", 8), ("[0;(7)]", 5), ("[0;(12)]", 4), ("[0;(50)]", 3),
+        ("golden", 20), ("rule:powers-of-two", 6), ("[0;(1,1000000000000)]", 6),
+    ])
+    def test_float64_against_mpmath(self, spec, K):
+        t = build_table(spec, K + 1)
+        rng = random.Random(17)
+        q_K = int(t.q[K])
+        checked = 0
+        for N in (q_K - 1, *(rng.randrange(q_K) for _ in range(20))):
+            # A digit up to 10^12 would be 10^12 blocks: cap it, which keeps the
+            # digit vector valid, since the capped digits stay below a_{k+1}.
+            d = OstrowskiDigits(tuple(min(b, 9) for b in encode(t, N, K=K).digits), t)
+            eps = epsilon_profile(d)
+            for k in eps:
+                x = block_args(t, d, k, eps)
+                shifts = block_shifts(t, d, k, eps)
+                assert x.dtype == np.float64 and len(x) == d.digits[k] + 1
+                assert len(shifts) == d.digits[k]
+                sign = 1 if k % 2 == 0 else -1
+                with mpmath.workprec(t.cfg.working_bits + 16):
+                    for b, xb in enumerate(x):
+                        ref = b * t.delta[k] + eps[k]
+                        scale = float(max(b * t.delta[k], abs(eps[k]), abs(ref)))
+                        assert abs(float(mpmath.mpf(xb) - ref)) <= 2.0 ** -51 * scale
+                        if b < len(shifts):
+                            err = abs(float(mpmath.mpf(shifts[b]) - sign * ref / t.q[k]))
+                            assert err <= 2.0 ** -50 * scale / t.q[k]
+                checked += 1
+        assert checked >= 20
+
+    def test_range_check_raises_on_unvalidated_digits(self):
+        t = build_table("[0;(10)]", 4)
+        d = OstrowskiDigits((0, 15, 0), t)  # b_1 = 15 > a_2 = 10, never validated
+        assert not d.is_valid
+        # eps_1 = -q_1 (b_2 theta_2 - ...) = 0: the digits above index 1 are 0.
+        with pytest.raises(AssertionError, match=r"outside \(-1,1\) at k=1, b=11"):
+            block_args(t, d, 1, {1: 0.0})
 
 
 class TestBTransfer:

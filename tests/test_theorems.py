@@ -17,7 +17,7 @@ from sudler import (
     theorem1_check,
     vol41,
 )
-from sudler import theorems
+from sudler import products, theorems
 from sudler.ostrowski import OstrowskiDigits, delta_T_default
 from sudler.theorems import (
     PENALTY_LOWER_CONSTANT,
@@ -25,6 +25,7 @@ from sudler.theorems import (
     REGIME_FORMULA,
     REGIME_OUT,
     REGIME_QUADRATIC,
+    PredictionReport,
     bernoulli_b2_closed_forms,
     bernoulli_b2_integrals,
     concavity_ratio,
@@ -163,7 +164,7 @@ class TestBlockSurrogate:
             d = encode(t, int(N), K=K)
             if any(b > cutoff for b in d.digits[1:]):
                 continue
-            un = u_n_log(t, d, k0=1)
+            un = u_n_log(t, d)
             resid = log_sudler(t, int(N)).require_nonzero() - un.log_u - un.below_k0_log
             assert lo <= resid <= hi
             checked += 1
@@ -178,8 +179,32 @@ class TestBlockSurrogate:
                 e = e_k_residual(t, d, k)
                 assert e <= C / (t.a[k + 1] * int(t.q[k]))
 
+    def test_ek_blocks_and_surrogate_read_the_same_arguments(self, monkeypatch):
+        seen = []
+        real = products.block_args
+
+        def record(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(products, "block_args", record)  # behind block_shifts
+        monkeypatch.setattr(theorems, "block_args", record)  # u_k_log's own name
+        t = build_table("[0;(10)]", 4)
+        d = n_star(t, 3)
+        for k in (1, 2):
+            seen.clear()
+            e_k_residual(t, d, k)
+            blocks, surrogate = seen
+            assert blocks.tobytes() == surrogate.tobytes() and blocks.size == d.digits[k] + 1
+
 
 class TestPredictions:
+    def test_report_passes_within_budget(self):
+        assert PredictionReport("x", 1.0, 1.5, 0.5).passed
+        assert not PredictionReport("x", 1.0, 1.5, 0.25).passed
+        assert PredictionReport("x", 1.0, 0.0, 0.25, one_sided=True).passed
+        assert not PredictionReport("x", 1.0, 1.5, 0.25, one_sided=True).passed
+
     def test_pnstar_a50_value(self, fixtures):
         t = build_table("[0;(50)]", 4)
         rep = pnstar_prediction(t, 3, fixtures)
@@ -246,7 +271,7 @@ class TestPredictions:
 
     def test_quadratic_slope_recovery(self):
         t = build_table("[0;(50)]", 4)
-        ests = [quadratic_slope_estimate(t, 3, m, j_max=3) for m in (1, 2)]
+        ests = [quadratic_slope_estimate(t, 3, m) for m in (1, 2)]
         est = float(np.mean(ests))
         assert abs(est - QUADRATIC_CONSTANT) / QUADRATIC_CONSTANT < 0.15
 
