@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .cf import AlphaSpec, ConvergentTable, PrecisionConfig, build_table, parse_alpha
+from .cf import AlphaSpec, ConvergentTable, build_table, parse_alpha
 from .cotangent import digamma, v_k, v_k_main_term, v_k_star, vasyunin
 from .errors import (
     BudgetError,

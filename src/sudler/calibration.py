@@ -24,10 +24,9 @@ from .limitfn import empirical_limit, g_alpha
 from .ostrowski import decode, delta_T_default, encode, n_star
 from .products import b_transfer, log_sudler, scan
 from .theorems import (
-    PENALTY_LOWER_CONSTANT,
+    digit_penalty,
     e_k_residual,
     lcnorm_prediction,
-    log_sin_integral,
     pnstar_prediction,
     theorem1_check,
     u_n_log,
@@ -220,11 +219,9 @@ def _un_residual() -> dict:
 def _dk_main_slack() -> dict:
     worst = 0.0
     for a in (10, 15, 30, 50):
-        b_star = (5 * a) // 6
         for b in range(a + 1):
-            main = a * log_sin_integral(b / a, b_star / a)
-            lower = PENALTY_LOWER_CONSTANT * (b - b_star) ** 2 / a
-            worst = max(worst, lower - main)
+            term = digit_penalty(0, a, b)
+            worst = max(worst, term.lower - term.main)
     return {"slack": worst * 1.2 + 0.01}
 
 

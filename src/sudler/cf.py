@@ -5,8 +5,8 @@ high-precision values of theta_k = ||q_k alpha||, delta_k = q_k ||q_k alpha||
 and eta_k = q_k ||q_{k+1} alpha||.  Every theta_k is the exact integer
 |q_k p_N - p_k q_N| over q_N, rounded once, for one deep convergent p_N/q_N:
 the last one of a rational alpha, so its table is exact, and for periodic and
-rule-generated alpha the first that holds theta_k to 2^-(wb+17) relative.
-Nothing comes from the unstable three-term recursion for ||q_k alpha||.
+rule-generated alpha the first that holds theta_k to 2^-(WORKING_BITS+17)
+relative.  Nothing comes from the unstable three-term recursion for ||q_k alpha||.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ from .numerics import CHUNK, frac_parts_dd  # noqa: F401  (the benchmark tracer 
 RULES = {
     "powers-of-two": lambda k: 2 ** k,
 }
+
+# The mpmath precision of every table column and scalar fractional part.  The
+# float64 values the kernels read did not change between 64 and 1024 bits.
+WORKING_BITS = 256
 
 # Residues below 2^62 add without leaving int64: R + (lo*P mod Q) < 2^63.
 RESIDUE_LIMIT = 1 << 62
@@ -168,17 +172,6 @@ def _parse_quotient(tok: str, position: int) -> int:
     return a
 
 
-@dataclass(frozen=True)
-class PrecisionConfig:
-    """Working precision for the real scalars derived from a table."""
-
-    working_bits: int = 256
-
-    def __post_init__(self):
-        if self.working_bits < 64:
-            raise SudlerError("working_bits must be >= 64")
-
-
 class ConvergentTable:
     """Exact convergents plus high-precision theta/delta/eta columns.
 
@@ -191,11 +184,10 @@ class ConvergentTable:
     kernel before it starts its thread pool, so its workers only read it.
     """
 
-    def __init__(self, alpha: AlphaSpec, K_max: int, cfg: PrecisionConfig,
+    def __init__(self, alpha: AlphaSpec, K_max: int,
                  a, p, q, theta, delta, eta, alpha_value):
         self.alpha = alpha
         self.K_max = K_max
-        self.cfg = cfg
         self.a = a            # a[k] for 1 <= k <= len(a)-1; a[0] unused
         self.p = p            # p[0..K_hi]
         self.q = q            # q[0..K_hi]
@@ -218,23 +210,22 @@ class ConvergentTable:
     # --- scalar fractional parts at working precision ---
 
     def frac_part(self, n: int):
-        """{n*alpha} as an mpf with absolute error well below 2^(64-wb)*n."""
+        """{n*alpha} as an mpf with absolute error well below 2^(64-WORKING_BITS)*n."""
         n = int(n)
         if not 0 <= n < self.q[self.K_max]:
             raise RangeError(f"n={n} outside [0, q_K={self.q[self.K_max]})")
         if n == 0:
             return mpmath.mpf(0)
-        wb = self.cfg.working_bits
-        if wb <= n.bit_length() + 64:
+        if WORKING_BITS <= n.bit_length() + 64:
             raise PrecisionError(
-                f"working_bits={wb} too small for n with {n.bit_length()} bits"
+                f"{WORKING_BITS} working bits too small for n with {n.bit_length()} bits"
             )
         if self.is_rational:
             val = self.rational_value()
             r = (n * val.numerator) % val.denominator
-            with mpmath.workprec(wb):
+            with mpmath.workprec(WORKING_BITS):
                 return mpmath.mpf(r) / val.denominator
-        with mpmath.workprec(wb + n.bit_length() + 16):
+        with mpmath.workprec(WORKING_BITS + n.bit_length() + 16):
             x = self.alpha_value * n
             return x - mpmath.floor(x)
 
@@ -286,7 +277,7 @@ class ConvergentTable:
                 return val.numerator % val.denominator, val.denominator, 0.0
         j = max(k for k in range(self.K_max + 1) if self.q[k] < RESIDUE_LIMIT)
         sign = 1 if j % 2 == 0 else -1
-        with mpmath.workprec(self.cfg.working_bits + 16):
+        with mpmath.workprec(WORKING_BITS + 16):
             w = float(sign * self.theta[j] / self.q[j])
         return self.p[j] % self.q[j], self.q[j], w
 
@@ -341,13 +332,10 @@ def _convergents(alpha: AlphaSpec, deep_enough=None) -> tuple[list, list, list]:
     return a, p, q
 
 
-def build_table(alpha: AlphaSpec | str, K_max: int,
-                cfg: PrecisionConfig | None = None) -> ConvergentTable:
+def build_table(alpha: AlphaSpec | str, K_max: int) -> ConvergentTable:
     """Build the convergent table for alpha up to index K_max."""
     if isinstance(alpha, str):
         alpha = parse_alpha(alpha)
-    if cfg is None:
-        cfg = PrecisionConfig()
     if K_max < 1:
         raise RangeError("K_max must be >= 1")
 
@@ -360,15 +348,15 @@ def build_table(alpha: AlphaSpec | str, K_max: int,
     K_hi = K_max + 1
     if rational_len is not None:
         K_hi = min(K_hi, rational_len)
-    wb = cfg.working_bits
 
     def deep_enough(q):
         # For k < N, |theta_k - |q_k p_N - p_k q_N|/q_N| < q_k/(q_N q_{N+1})
         # and theta_k > 1/(2 q_{k+1}), so stopping at the first N with
-        # q_N q_{N+1} >= 2^(wb+18) q_{K_hi} q_{K_hi+1} holds every theta_k,
-        # k <= K_hi, to 2^-(wb+17) relative.  That N exceeds K_hi.
+        # q_N q_{N+1} >= 2^(wb+18) q_{K_hi} q_{K_hi+1}, wb = WORKING_BITS,
+        # holds every theta_k, k <= K_hi, to 2^-(wb+17) relative.  That N
+        # exceeds K_hi.
         return (len(q) >= K_hi + 2
-                and q[-2] * q[-1] >= (q[K_hi] * q[K_hi + 1]) << (wb + 18))
+                and q[-2] * q[-1] >= (q[K_hi] * q[K_hi + 1]) << (WORKING_BITS + 18))
 
     a, p, q = _convergents(alpha, deep_enough)
     for k in range(len(q) - 1):
@@ -383,7 +371,7 @@ def build_table(alpha: AlphaSpec | str, K_max: int,
     # q_{k+1} theta_k + q_k theta_{k+1} = 1 holds from k = 0.
     N = len(q) - 1 if rational_len is not None else len(q) - 2
     P, Q = p[N], q[N]
-    with mpmath.workprec(wb + 16):
+    with mpmath.workprec(WORKING_BITS + 16):
         theta = [mpmath.fdiv(abs(q[k] * P - p[k] * Q), Q) for k in range(K_hi + 1)]
         delta = [theta[k] * q[k] for k in range(K_max + 1)]
         eta = [q[k] * theta[k + 1] for k in range(min(K_max, K_hi - 1) + 1)]
@@ -392,5 +380,5 @@ def build_table(alpha: AlphaSpec | str, K_max: int,
         if not theta[k] > theta[k + 1]:
             raise SudlerError(f"theta not strictly decreasing at k={k}")
 
-    return ConvergentTable(alpha, K_max, cfg, a[:K_hi + 1], p[:K_hi + 1],
+    return ConvergentTable(alpha, K_max, a[:K_hi + 1], p[:K_hi + 1],
                            q[:K_hi + 1], theta, delta, eta, alpha_value)

@@ -15,12 +15,12 @@ import sys
 import numpy as np
 
 from . import __version__, calibration, serialize
-from .cf import PrecisionConfig, build_table, parse_alpha
+from .cf import build_table, parse_alpha
 from .cotangent import v_k, v_k_main_term, v_k_star
 from .errors import SudlerError
-from .limitfn import crossing_abscissa, empirical_limit, g_alpha, g_alpha_r
+from .limitfn import DEFAULT_CURVE_BUDGET, crossing_abscissa, empirical_limit, g_alpha, g_alpha_r
 from .ostrowski import decode, encode, epsilon_profile
-from .products import decompose, scan
+from .products import DEFAULT_SCAN_BUDGET, DEFAULT_TOP_M, decompose, scan
 from .theorems import (
     PredictionReport,
     bernoulli_b2_closed_forms,
@@ -33,6 +33,9 @@ from .theorems import (
 )
 
 
+GRID_MAX_POINTS = 10 ** 6
+
+
 def _parse_grid(text: str) -> np.ndarray:
     try:
         lo, hi, step = (float(p) for p in text.split(":"))
@@ -43,7 +46,10 @@ def _parse_grid(text: str) -> np.ndarray:
     # Points lo + i*step up to hi inclusive; the tolerance keeps hi itself
     # when (hi - lo)/step rounds just below an integer.  The points meant to
     # be 0 or hi are set to them exactly, and none passes hi.
-    n = math.floor((hi - lo) / step + 1e-9) + 1
+    span = (hi - lo) / step  # inf when it overflows
+    n = math.floor(span + 1e-9) + 1 if span < GRID_MAX_POINTS else math.inf
+    if n > GRID_MAX_POINTS:
+        raise argparse.ArgumentTypeError(f"grid {text!r} has more than {GRID_MAX_POINTS} points")
     grid = lo + step * np.arange(n)
     for target in (0.0, hi):
         i = round((target - lo) / step)
@@ -60,17 +66,13 @@ def _parse_c_list(text: str) -> tuple:
             f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _add_common(sub, alpha_default=None):
-    sub.add_argument("--alpha", default=alpha_default,
-                     required=alpha_default is None, help="alpha specification")
-    # A string default goes through type=int too, so a bad SUDLER_BITS exits 2.
-    sub.add_argument("--bits", type=int, default=os.environ.get("SUDLER_BITS", "256"),
-                     help="working precision in bits (env SUDLER_BITS)")
+def _add_alpha(sub, default=None):
+    sub.add_argument("--alpha", default=default, required=default is None,
+                     help="alpha specification")
 
 
 def _table(args, K):
-    cfg = PrecisionConfig(working_bits=args.bits)
-    return build_table(parse_alpha(args.alpha), K, cfg)
+    return build_table(parse_alpha(args.alpha), K)
 
 
 def cmd_cf(args) -> int:
@@ -304,31 +306,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("cf", help="build and emit a convergent table")
-    _add_common(s)
+    _add_alpha(s)
     s.add_argument("--K", type=int, required=True)
     s.add_argument("--out")
     s.set_defaults(fn=cmd_cf)
 
     s = sub.add_parser("ostrowski", help="digit expansion of N")
-    _add_common(s)
+    _add_alpha(s)
     s.add_argument("--K", type=int, required=True)
     s.add_argument("--N", type=int, required=True)
     s.add_argument("--out")
     s.set_defaults(fn=cmd_ostrowski)
 
     s = sub.add_parser("scan", help="sweep N < q_K for max and c-norm sums")
-    _add_common(s)
+    _add_alpha(s)
     s.add_argument("--K", type=int, required=True)
     s.add_argument("--c", type=_parse_c_list, default="",
                    help="comma-separated norm exponents")
     s.add_argument("--parallelism", type=int, default=1)
-    s.add_argument("--top", type=int, default=32)
-    s.add_argument("--budget", type=int, default=10 ** 7)
+    s.add_argument("--top", type=int, default=DEFAULT_TOP_M)
+    s.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET)
     s.add_argument("--out")
     s.set_defaults(fn=cmd_scan)
 
     s = sub.add_parser("cotangent", help="sine-weighted cotangent sums on a grid")
-    _add_common(s)
+    _add_alpha(s)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--grid", type=_parse_grid, required=True)
     s.add_argument("--starred", action="store_true")
@@ -336,11 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_cotangent)
 
     s = sub.add_parser("limitfn", help="empirical limit curve, optionally vs closed form")
-    _add_common(s)
+    _add_alpha(s)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--grid", type=_parse_grid, required=True)
     s.add_argument("--closed-form", action="store_true")
-    s.add_argument("--budget", type=int, default=10 ** 7)
+    s.add_argument("--budget", type=int, default=DEFAULT_CURVE_BUDGET)
     s.add_argument("--out")
     s.set_defaults(fn=cmd_limitfn)
 
@@ -348,11 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--which", choices=("fig1", "fig2", "fig3"), required=True)
     s.add_argument("--out", required=True, help="output directory")
     s.add_argument("--grid", type=_parse_grid, default="-1:1:0.005")
-    s.add_argument("--budget", type=int, default=10 ** 7)
+    s.add_argument("--budget", type=int, default=DEFAULT_CURVE_BUDGET)
     s.set_defaults(fn=cmd_figures)
 
     s = sub.add_parser("verify", help="run a verification suite against fixtures")
-    _add_common(s, alpha_default="[0;(10)]")
+    _add_alpha(s, "[0;(10)]")
     s.add_argument("--suite", choices=SUITES, required=True)
     s.add_argument("--K", type=int, default=3)
     s.add_argument("--c", type=_parse_c_list, default="",

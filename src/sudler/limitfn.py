@@ -13,13 +13,12 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .cf import AlphaSpec, ConvergentTable, PrecisionConfig, build_table, parse_alpha
+from .cf import WORKING_BITS, AlphaSpec, ConvergentTable, build_table, parse_alpha
 from .cotangent import digamma
 from .errors import BudgetError, RangeError, SudlerError
 from .products import log_sudler_shifted
 
 DEFAULT_CURVE_BUDGET = 10 ** 7
-_LIMIT_BITS = 192
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,7 @@ def limit_constants(alpha: AlphaSpec | str, r: int) -> LimitConstants:
 
     C_r = 1/(beta + gamma) and D_r = gamma C_r with beta = [c_{r+1}; c_{r+2}, ...]
     and gamma = [0; c_r, c_{r-1}, ...] over the period c, each the
-    deep-convergent alpha value of a K = 1 table at 192 bits.
+    deep-convergent alpha value of a K = 1 table.
     """
     if isinstance(alpha, str):
         alpha = parse_alpha(alpha)
@@ -45,12 +44,11 @@ def limit_constants(alpha: AlphaSpec | str, r: int) -> LimitConstants:
     p = len(per)
     if not 1 <= r <= p:
         raise RangeError(f"r={r} outside [1, {p}]")
-    cfg = PrecisionConfig(working_bits=_LIMIT_BITS)
     forward = AlphaSpec(per[r % p], period=tuple(per[(r + 1 + i) % p] for i in range(p)))
     backward = AlphaSpec(period=tuple(per[(r - 1 - i) % p] for i in range(p)))
-    beta = build_table(forward, 1, cfg).alpha_value
-    gamma = build_table(backward, 1, cfg).alpha_value
-    with mpmath.workprec(_LIMIT_BITS + 16):
+    beta = build_table(forward, 1).alpha_value
+    gamma = build_table(backward, 1).alpha_value
+    with mpmath.workprec(WORKING_BITS + 16):
         C = 1 / (beta + gamma)
         D = gamma * C
     if not 0 < float(D) < float(C) < 1:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .cf import ConvergentTable
+from .cf import WORKING_BITS, ConvergentTable
 from .errors import InvalidDigitsError, RangeError
 
 #: Projection guard used throughout the prediction machinery; T is the bound
@@ -89,11 +89,16 @@ def decode(digits: OstrowskiDigits) -> int:
     return sum(b * digits.table.q[k] for k, b in enumerate(digits.digits))
 
 
+def b_star(a_next: int) -> int:
+    """The near-maximizer digit floor(5 a_{k+1} / 6) below a_{k+1}."""
+    return (5 * a_next) // 6
+
+
 def n_star(table: ConvergentTable, K: int) -> OstrowskiDigits:
-    """The near-maximizer digit vector b_k = floor(5 a_{k+1} / 6)."""
+    """The near-maximizer digit vector b_k = b_star(a_{k+1})."""
     if not 1 <= K <= table.K_max:
         raise RangeError(f"K={K} outside [1, {table.K_max}]")
-    digits = tuple((5 * table.a[k + 1]) // 6 for k in range(K))
+    digits = tuple(b_star(table.a[k + 1]) for k in range(K))
     out = OstrowskiDigits(digits, table)
     out.require_valid()  # floor(5a/6) < a, so always valid
     return out
@@ -122,7 +127,7 @@ def epsilon_profile(digits: OstrowskiDigits) -> dict:
     digits.require_valid()
     t = digits.table
     K = digits.K
-    with mpmath.workprec(t.cfg.working_bits + 16):
+    with mpmath.workprec(WORKING_BITS + 16):
         # Suffix accumulation: s_k = sum_{l>k} (-1)^l b_l theta_l.
         eps = {}
         suffix = mpmath.mpf(0)

@@ -11,7 +11,7 @@ import json
 
 import mpmath
 
-from .cf import ConvergentTable, PrecisionConfig, parse_alpha
+from .cf import WORKING_BITS, ConvergentTable, parse_alpha
 from .errors import SudlerError
 
 SCHEMA_VERSION = 1
@@ -50,7 +50,7 @@ def table_to_dict(table: ConvergentTable) -> dict:
         "schema_version": SCHEMA_VERSION,
         "alpha": table.alpha.render(),
         "K_max": table.K_max,
-        "working_bits": table.cfg.working_bits,
+        "working_bits": WORKING_BITS,
         "a": [str(x) for x in table.a],
         "p": [str(x) for x in table.p],
         "q": [str(x) for x in table.q],
@@ -65,9 +65,8 @@ def table_from_dict(d: dict) -> ConvergentTable:
     if d.get("schema_version") != SCHEMA_VERSION:
         raise SudlerError(f"unsupported schema_version {d.get('schema_version')!r}")
     alpha = parse_alpha(d["alpha"])
-    cfg = PrecisionConfig(working_bits=d["working_bits"])
     return ConvergentTable(
-        alpha, d["K_max"], cfg,
+        alpha, d["K_max"],
         [int(x) for x in d["a"]],
         [int(x) for x in d["p"]],
         [int(x) for x in d["q"]],

@@ -17,7 +17,7 @@ import numpy as np
 from .cf import ConvergentTable
 from .cotangent import v_k
 from .errors import RangeError, SudlerError
-from .ostrowski import OstrowskiDigits, decode, encode, epsilon_profile, n_star, project
+from .ostrowski import OstrowskiDigits, b_star, decode, encode, epsilon_profile, n_star, project
 from .products import block_args, block_shifts, log_sudler, log_sudler_shifted, scan
 
 # zeta(2n) / (n (2n + 1)), n = 1..25: the Clausen-series coefficients.  At
@@ -149,26 +149,26 @@ class DkTerm:
         return self.main
 
 
+def digit_penalty(k: int, a_next: int, b: int) -> DkTerm:
+    """Penalty of digit b at position k against b* = b_star(a_{k+1})."""
+    star = b_star(a_next)
+    main = a_next * log_sin_integral(b / a_next, star / a_next)
+    quad_term = QUADRATIC_CONSTANT * (b - star) ** 2 / a_next
+    if 100 * b > 99 * a_next:
+        regime = REGIME_OUT
+    elif (b - star) ** 2 <= a_next:
+        regime = REGIME_QUADRATIC  # both forms apply; main is used
+    else:
+        regime = REGIME_FORMULA
+    return DkTerm(k, a_next, b, star, main, quad_term, regime)
+
+
 def d_k_terms(table: ConvergentTable, digits: OstrowskiDigits, K: int) -> list[DkTerm]:
     """Per-digit penalty terms for the drop log P_N - log P_{N*}."""
     if digits.K != K:
         raise RangeError(f"digit vector has length {digits.K}, expected {K}")
     digits.require_valid()
-    out = []
-    for k in range(K):
-        a_next = table.a[k + 1]
-        b = digits.digits[k]
-        b_star = (5 * a_next) // 6
-        main = a_next * log_sin_integral(b / a_next, b_star / a_next)
-        quad_term = QUADRATIC_CONSTANT * (b - b_star) ** 2 / a_next
-        if 100 * b > 99 * a_next:
-            regime = REGIME_OUT
-        elif (b - b_star) ** 2 <= a_next:
-            regime = REGIME_QUADRATIC  # both forms apply; main is used
-        else:
-            regime = REGIME_FORMULA
-        out.append(DkTerm(k, a_next, b, b_star, main, quad_term, regime))
-    return out
+    return [digit_penalty(k, table.a[k + 1], b) for k, b in enumerate(digits.digits)]
 
 
 def u_k_log(table: ConvergentTable, digits: OstrowskiDigits, k: int) -> float:
@@ -191,7 +191,7 @@ def u_k_log(table: ConvergentTable, digits: OstrowskiDigits, k: int) -> float:
 
 @dataclass(frozen=True)
 class UNValue:
-    """Block surrogate log U_N over k >= k0 = 1, with the k = 0 block products kept apart."""
+    """Block surrogate log U_N over the blocks k >= 1, with the k = 0 block products kept apart."""
 
     log_u: float
     below_k0_log: float

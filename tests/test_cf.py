@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 from sudler import (
     AlphaSpec,
     ParseError,
-    PrecisionConfig,
     PrecisionError,
     RationalDepthError,
     SudlerError,
     build_table,
+    encode,
+    epsilon_profile,
     parse_alpha,
 )
+from sudler.cf import WORKING_BITS, _convergents
 from sudler.limitfn import limit_constants
 from sudler.numerics import CHUNK, frac_parts_dd, log_two_sin
 from sudler.serialize import mpf_from_hex, mpf_to_hex, table_from_dict, table_to_dict
@@ -27,7 +29,7 @@ def frac_part_via_convergent(t, n, k):
     """Oracle for {n alpha}, n < q_k: exact reduction against p_k/q_k plus n theta_k/q_k."""
     r = (n * t.p[k]) % t.q[k]
     sign = 1 if k % 2 == 0 else -1
-    with mpmath.workprec(t.cfg.working_bits + 16):
+    with mpmath.workprec(WORKING_BITS + 16):
         y = mpmath.mpf(r) / t.q[k] + sign * n * t.theta[k] / t.q[k]
         return y - mpmath.floor(y)
 
@@ -133,9 +135,9 @@ class TestBuildTable:
                 assert 1.0 / (t.a[k + 1] + 2) <= d <= 1.0 / t.a[k + 1]
 
     def test_delta_eta_identity(self, tables):
-        # delta_k * q_{k+1}/q_k + eta_k = 1, to 2^(8 - working_bits) relative
+        # delta_k * q_{k+1}/q_k + eta_k = 1, to 2^(8 - WORKING_BITS) relative
         with mpmath.workprec(300):
-            tol = mpmath.mpf(2) ** (8 - 256)
+            tol = mpmath.mpf(2) ** (8 - WORKING_BITS)
             for t in tables.values():
                 for k in range(t.K_max):
                     lhs = t.delta[k] * t.q[k + 1] / t.q[k] + t.eta[k]
@@ -172,17 +174,20 @@ def _single_quotient(a):
 
 
 class TestDeepConvergent:
-    """theta_k for k <= K_max + 1 to 2^-(wb+8) relative, from one deep convergent."""
+    """theta_k for k <= K_max + 1 to 2^-(WORKING_BITS+8) relative, from one deep convergent.
+
+    The tables are built under an ambient mpmath precision mp_prec, which
+    build_table must not read.
+    """
 
     @staticmethod
     def _check(t, exact_theta):
-        wb = t.cfg.working_bits
         assert len(t.theta) == t.K_max + 2
         for k, theta in enumerate(t.theta):
             ref = exact_theta(k)
-            assert abs(theta - ref) < ref * mpmath.mpf(2) ** -(wb + 8), k
+            assert abs(theta - ref) < ref * mpmath.mpf(2) ** -(WORKING_BITS + 8), k
 
-    @pytest.mark.parametrize("wb", [64, 256, 1024])
+    @pytest.mark.parametrize("mp_prec", [64, 256, 1024])
     @pytest.mark.parametrize("spec,K,closed_form", [
         pytest.param("[0;(1)]", 100, _single_quotient(1), id="a1"),
         pytest.param("[0;(3)]", 60, _single_quotient(3), id="a3"),
@@ -191,23 +196,29 @@ class TestDeepConvergent:
         pytest.param("golden", 100, lambda: (1 + mpmath.sqrt(5)) / 2, id="golden"),
         pytest.param("sqrt2", 80, lambda: mpmath.sqrt(2), id="sqrt2"),
     ])
-    def test_closed_forms(self, spec, K, closed_form, wb):
-        t = build_table(spec, K, PrecisionConfig(working_bits=wb))
-        # 4*wb bits, plus the bits that cancel in q_k alpha - p_k.
-        with mpmath.workprec(4 * wb + 2 * t.q[-1].bit_length()):
+    def test_closed_forms(self, spec, K, closed_form, mp_prec):
+        with mpmath.workprec(mp_prec):
+            t = build_table(spec, K)
+        # 4*WORKING_BITS bits, plus the bits that cancel in q_k alpha - p_k.
+        with mpmath.workprec(4 * WORKING_BITS + 2 * t.q[-1].bit_length()):
             alpha = closed_form()
             self._check(t, lambda k: abs(t.q[k] * alpha - t.p[k]))
 
-    @pytest.mark.parametrize("wb", [64, 256, 1024])
+    @pytest.mark.parametrize("mp_prec", [64, 256, 1024])
     @pytest.mark.parametrize("spec,K", [
         ("rule:powers-of-two", 16), ("[0;(1,1000000000000)]", 30),
     ])
-    def test_against_deep_table(self, spec, K, wb):
-        t = build_table(spec, K, PrecisionConfig(working_bits=wb))
-        ref = build_table(spec, K, PrecisionConfig(working_bits=4096))
-        assert (t.p, t.q) == (ref.p, ref.q)
+    def test_against_deep_table(self, spec, K, mp_prec):
+        # The reference reads theta_k off a convergent that holds it to
+        # 2^-4113 relative, the stopping rule of build_table at 4096 bits.
+        with mpmath.workprec(mp_prec):
+            t = build_table(spec, K)
+        _, p, q = _convergents(t.alpha, lambda q: (
+            len(q) >= K + 3 and q[-2] * q[-1] >= (q[K + 1] * q[K + 2]) << 4114))
+        assert (t.p, t.q) == (p[:K + 2], q[:K + 2])
+        P, Q = p[-2], q[-2]
         with mpmath.workprec(4112):
-            self._check(t, lambda k: ref.theta[k])
+            self._check(t, lambda k: mpmath.fdiv(abs(q[k] * P - p[k] * Q), Q))
 
     @pytest.mark.parametrize("a", [1, 2, 5, 12, 50])
     def test_limit_constants_closed_form(self, a):
@@ -215,6 +226,43 @@ class TestDeepConvergent:
         with mpmath.workprec(256):
             s = mpmath.sqrt(a * a + 4)
             assert (lc.C_r, lc.D_r) == (float(1 / s), float((s - a) / (2 * s)))
+
+
+class TestFloatColumns:
+    """The float64 values the kernels read are exact quotients rounded once.
+
+    Each of theta_k, delta_k, eta_k, the residue kernel's w and eps_k is a
+    signed integer over Q for the exact convergent P/Q of a rational alpha,
+    or, up to far below an ulp, for a convergent P/Q with Q >= 2^4096.
+    Python's int / int rounds that quotient correctly.
+    """
+
+    @pytest.mark.parametrize("spec,K", [
+        ("golden", 40), ("sqrt2", 30), ("[0;(15)]", 8), ("[0;(2,50)]", 8),
+        ("[0;3,(11)]", 8), ("rule:powers-of-two", 12), ("[0;(1,1000000000000)]", 12),
+        ("[0;2,3,5,7,11,13]", 5),
+    ])
+    def test_exact_quotients(self, spec, K):
+        t = build_table(spec, K)
+        _, p, q = _convergents(t.alpha, lambda q: q[-1].bit_length() > 4096)
+        P, Q = p[-1], q[-1]
+        assert len(q) > len(t.q) or t.is_rational
+        # |q_k alpha - p_k| over Q, and (-1)^k of it
+        num = [abs(q[k] * P - p[k] * Q) for k in range(len(t.theta))]
+        signed = [(-1) ** k * n for k, n in enumerate(num)]
+        assert [float(x) for x in t.theta] == [n / Q for n in num]
+        assert [float(x) for x in t.delta] == [q[k] * num[k] / Q for k in range(len(t.delta))]
+        assert [float(x) for x in t.eta] == [q[k] * num[k + 1] / Q for k in range(len(t.eta))]
+        _, q_w, w, _ = t.residue_kernel(1)
+        if w:
+            j = q[:len(t.q)].index(q_w)
+            assert w == signed[j] / (Q * q_w)
+        rng = np.random.default_rng(11)
+        for N in rng.integers(0, min(int(t.q[K]), 2 ** 62), size=50):
+            digits = encode(t, int(N), K=K)
+            for k, e in epsilon_profile(digits).items():
+                tail = sum(b * signed[l] for l, b in enumerate(digits.digits) if l > k)
+                assert float(e) == (-1) ** k * q[k] * tail / Q, (N, k)
 
 
 class TestFracPart:
@@ -247,9 +295,13 @@ class TestFracPart:
                 assert abs(a - b) < tol
 
     def test_precision_guard(self):
-        t = build_table("golden", 8, PrecisionConfig(working_bits=64))
+        # q_20 has 211 bits, so the table reaches n with 192 bits, and
+        # WORKING_BITS cannot cover bitlen(n) + 64 for them.
+        t = build_table("rule:powers-of-two", 20)
+        assert t.q[20].bit_length() == 211
+        assert 0 < t.frac_part(2 ** 191 - 1) < 1
         with pytest.raises(PrecisionError):
-            t.frac_part(7)  # 64 bits cannot cover bitlen(n) + 64
+            t.frac_part(2 ** 191)
 
     def test_frac_doubles_match_scalar(self, tables):
         # Signed: arr[n] is n*alpha minus its nearest integer, to within a
@@ -354,7 +406,6 @@ class TestSerialization:
         doc = dict(table_to_dict(t), tail_depth=64)
         t2 = table_from_dict(doc)
         assert table_to_dict(t2) == table_to_dict(t)
-        assert t2.cfg == t.cfg
 
     def test_spec_invariants(self):
         with pytest.raises(Exception):

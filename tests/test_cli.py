@@ -16,11 +16,11 @@ from sudler.serialize import load_json, table_from_dict, table_to_dict
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(sudler.__file__)))
 
 
-def _python(args, **env):
+def _python(args):
     """Run a fresh interpreter on this checkout's sources; returns the process."""
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": SRC, **env},
+        env={**os.environ, "PYTHONPATH": SRC},
     )
 
 
@@ -157,10 +157,13 @@ def test_fixture_schema(fixtures):
         assert key in fixtures
 
 
-def test_env_var_sets_default_bits(monkeypatch, capsys):
-    monkeypatch.setenv("SUDLER_BITS", "128")
-    rc = main(["cf", "--alpha", "golden", "--K", "4"])
-    assert rc == 0
+def test_sudler_bits_env_is_ignored(monkeypatch, tmp_path):
+    # The working precision is fixed; the variable of earlier versions is ignored.
+    paths = tmp_path / "default.json", tmp_path / "env.json"
+    assert main(["cf", "--alpha", "golden", "--K", "4", "--out", str(paths[0])]) == 0
+    monkeypatch.setenv("SUDLER_BITS", "64")
+    assert main(["cf", "--alpha", "golden", "--K", "4", "--out", str(paths[1])]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_rational_depth_error_exits_1(capsys):
@@ -205,13 +208,16 @@ def test_grid_points_are_exact(text, zero):
     assert (0.0 in grid) is zero
 
 
-@pytest.mark.parametrize("argv, env", [
-    (["cf", "--alpha", "golden", "--K", "4"], {"SUDLER_BITS": "abc"}),
-    (["scan", "--alpha", "[0;(6)]", "--K", "3", "--c", "abc"], {}),
-    (["verify", "--suite", "theorem2", "--c", "abc"], {}),
-], ids=["bad-SUDLER_BITS", "scan-bad-c", "verify-bad-c"])
-def test_bad_argument_exits_2_without_traceback(argv, env):
-    proc = _python(["-m", "sudler.cli", *argv], **env)
+@pytest.mark.parametrize("argv", [
+    ["scan", "--alpha", "[0;(6)]", "--K", "3", "--c", "abc"],
+    ["verify", "--suite", "theorem2", "--c", "abc"],
+    ["limitfn", "--alpha", "[0;(15)]", "--k", "3", "--grid", "0:1e15:1"],
+    ["cotangent", "--alpha", "[0;(15)]", "--k", "3", "--grid", "0:1e15:1"],
+    ["figures", "--which", "fig1", "--out", "figs", "--grid", "0:1e300:1e-300"],
+], ids=["scan-bad-c", "verify-bad-c", "limitfn-huge-grid", "cotangent-huge-grid",
+        "figures-overflowing-grid"])
+def test_bad_argument_exits_2_without_traceback(argv):
+    proc = _python(["-m", "sudler.cli", *argv])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
@@ -280,9 +286,9 @@ _ALPHAS = st.one_of(
     st.builds("[{};({})]".format, st.integers(-10 ** 20, 10 ** 20), st.integers(1, 6)),
 )
 _GRIDS = st.sampled_from(["-0.9:0.9:0.45", "0.3:0.3:1", "0:1:0.5", "-1.5:1.5:1.5",
-                          "-2:2:2", "1:0:1", "0:1:0", "a:b:c", "0:inf:1"])
-_COMMON = st.tuples(st.just("--alpha"), _ALPHAS,
-                    st.just("--bits"), st.sampled_from(["64", "128", "256", "32"]))
+                          "-2:2:2", "1:0:1", "0:1:0", "a:b:c", "0:inf:1",
+                          "0:1e15:1", "0:1e300:1e-300"])
+_COMMON = st.tuples(st.just("--alpha"), _ALPHAS)
 
 
 def _argv(*parts):

@@ -25,6 +25,7 @@ from sudler import (
     reflection_rhs,
     scan,
 )
+from sudler.cf import WORKING_BITS
 from sudler.numerics import CHUNK, kahan_sum, log_two_sin
 from sudler.products import (
     _expansion_pays,
@@ -348,7 +349,7 @@ class TestBlockArgs:
                 assert x.dtype == np.float64 and len(x) == d.digits[k] + 1
                 assert len(shifts) == d.digits[k]
                 sign = 1 if k % 2 == 0 else -1
-                with mpmath.workprec(t.cfg.working_bits + 16):
+                with mpmath.workprec(WORKING_BITS + 16):
                     for b, xb in enumerate(x):
                         ref = b * t.delta[k] + eps[k]
                         scale = float(max(b * t.delta[k], abs(eps[k]), abs(ref)))
