@@ -9,7 +9,6 @@ from .errors import (
     InvalidDigitsError,
     ParseError,
     PoleError,
-    PrecisionError,
     RangeError,
     RationalDepthError,
     SudlerError,

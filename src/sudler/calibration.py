@@ -84,11 +84,9 @@ def save_fixtures(fixtures: dict, path: str | None = None):
 
 def _vk_envelopes() -> tuple[dict, dict]:
     a = 15
-    table = build_table(f"[0;({a})]", 8)
+    table = build_table(f"[0;({a})]", 5)
     plain, starred = 0.0, 0.0
     for k in (4, 5):
-        if table.q[k] > 10 ** 7:
-            continue
         delta = float(table.delta[k])
         xs = (-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9)
         for x, v in zip(xs, v_k(table, k, xs)):

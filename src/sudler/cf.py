@@ -7,6 +7,8 @@ and eta_k = q_k ||q_{k+1} alpha||.  Every theta_k is the exact integer
 the last one of a rational alpha, so its table is exact, and for periodic and
 rule-generated alpha the first that holds theta_k to 2^-(WORKING_BITS+17)
 relative.  Nothing comes from the unstable three-term recursion for ||q_k alpha||.
+The same pair, kept as `ConvergentTable.deep`, gives the scalar fractional
+parts, the residue kernel's w and the limit constants C_r, D_r.
 """
 
 from __future__ import annotations
@@ -17,13 +19,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .errors import (
-    ParseError,
-    PrecisionError,
-    RangeError,
-    RationalDepthError,
-    SudlerError,
-)
+from .errors import ParseError, RangeError, RationalDepthError, SudlerError
 from .numerics import CHUNK, frac_parts_dd  # noqa: F401  (the benchmark tracer resolves it here)
 
 # Named digit generators for well-approximable test numbers.  Each maps the
@@ -185,7 +181,7 @@ class ConvergentTable:
     """
 
     def __init__(self, alpha: AlphaSpec, K_max: int,
-                 a, p, q, theta, delta, eta, alpha_value):
+                 a, p, q, theta, delta, eta, deep):
         self.alpha = alpha
         self.K_max = K_max
         self.a = a            # a[k] for 1 <= k <= len(a)-1; a[0] unused
@@ -194,40 +190,37 @@ class ConvergentTable:
         self.theta = theta    # theta[0..] as mpf, ||q_k alpha||
         self.delta = delta    # delta[k] = q_k ||q_k alpha||
         self.eta = eta        # eta[k] = q_k ||q_{k+1} alpha||
-        self.alpha_value = alpha_value
+        self.deep = deep      # (P, Q): the deep convergent every column is read off
         self._kernel: tuple | None = None
 
     @property
     def is_rational(self) -> bool:
         return self.alpha.is_rational
 
+    @property
+    def alpha_value(self):
+        """P/Q as an mpf, rounded once."""
+        return mpmath.fdiv(*self.deep, prec=WORKING_BITS + 16)
+
     def rational_value(self) -> Fraction:
         if not self.is_rational:
             raise SudlerError("alpha is not rational")
-        _, p, q = _convergents(self.alpha)
-        return Fraction(p[-1], q[-1])
+        return Fraction(*self.deep)
 
     # --- scalar fractional parts at working precision ---
 
     def frac_part(self, n: int):
-        """{n*alpha} as an mpf with absolute error well below 2^(64-WORKING_BITS)*n."""
+        """{n*alpha} as the exact residue (n*P mod Q)/Q, rounded once to WORKING_BITS.
+
+        For n < q_K, n*|alpha - P/Q| < 2^-(WORKING_BITS+18) (see `build_table`),
+        while n*alpha stays at least 1/(2 q_K) from an integer, so the residue
+        is {n*alpha} to that accuracy, and exactly it for a rational alpha.
+        """
         n = int(n)
         if not 0 <= n < self.q[self.K_max]:
             raise RangeError(f"n={n} outside [0, q_K={self.q[self.K_max]})")
-        if n == 0:
-            return mpmath.mpf(0)
-        if WORKING_BITS <= n.bit_length() + 64:
-            raise PrecisionError(
-                f"{WORKING_BITS} working bits too small for n with {n.bit_length()} bits"
-            )
-        if self.is_rational:
-            val = self.rational_value()
-            r = (n * val.numerator) % val.denominator
-            with mpmath.workprec(WORKING_BITS):
-                return mpmath.mpf(r) / val.denominator
-        with mpmath.workprec(WORKING_BITS + n.bit_length() + 16):
-            x = self.alpha_value * n
-            return x - mpmath.floor(x)
+        P, Q = self.deep
+        return mpmath.fdiv(n * P % Q, Q, prec=WORKING_BITS)
 
     # --- float64 fractional parts for the product kernels ---
 
@@ -271,14 +264,12 @@ class ConvergentTable:
         return self._kernel
 
     def _residue_params(self) -> tuple:
-        if self.is_rational:
-            val = self.rational_value()
-            if val.denominator < RESIDUE_LIMIT:
-                return val.numerator % val.denominator, val.denominator, 0.0
+        P, Q = self.deep
+        if self.is_rational and Q < RESIDUE_LIMIT:
+            return P % Q, Q, 0.0
         j = max(k for k in range(self.K_max + 1) if self.q[k] < RESIDUE_LIMIT)
-        sign = 1 if j % 2 == 0 else -1
-        with mpmath.workprec(WORKING_BITS + 16):
-            w = float(sign * self.theta[j] / self.q[j])
+        # (-1)^j theta_j / q_j with theta_j = |q_j P - p_j Q| / Q, rounded once.
+        w = (-1) ** j * abs(self.q[j] * P - self.p[j] * Q) / (Q * self.q[j])
         return self.p[j] % self.q[j], self.q[j], w
 
 
@@ -375,10 +366,9 @@ def build_table(alpha: AlphaSpec | str, K_max: int) -> ConvergentTable:
         theta = [mpmath.fdiv(abs(q[k] * P - p[k] * Q), Q) for k in range(K_hi + 1)]
         delta = [theta[k] * q[k] for k in range(K_max + 1)]
         eta = [q[k] * theta[k + 1] for k in range(min(K_max, K_hi - 1) + 1)]
-        alpha_value = mpmath.fdiv(P, Q)
     for k in range(len(theta) - 1):
         if not theta[k] > theta[k + 1]:
             raise SudlerError(f"theta not strictly decreasing at k={k}")
 
     return ConvergentTable(alpha, K_max, a[:K_hi + 1], p[:K_hi + 1],
-                           q[:K_hi + 1], theta, delta, eta, alpha_value)
+                           q[:K_hi + 1], theta, delta, eta, (P, Q))

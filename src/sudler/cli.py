@@ -139,14 +139,10 @@ def cmd_limitfn(args) -> int:
     two_sin = np.abs(2.0 * np.sin(np.pi * grid))
     if args.closed_form:
         spec = table.alpha
-        if spec.period is not None and len(spec.period) == 1 and not spec.preperiod:
-            closed = g_alpha(spec.period[0], grid)
-        elif spec.period is not None:
-            p = len(spec.period)
-            r = (args.k - len(spec.preperiod) - 1) % p + 1
-            closed = g_alpha_r(spec, r, grid)
-        else:
+        if spec.period is None:
             raise SudlerError("--closed-form requires a periodic alpha")
+        r = (args.k - len(spec.preperiod) - 1) % len(spec.period) + 1
+        closed = g_alpha_r(spec, r, grid)
     else:
         closed = np.full_like(grid, math.nan)
     rows = list(zip(map(float, grid), map(float, emp),
@@ -165,22 +161,22 @@ def cmd_figures(args) -> int:
         cols = {}
         for a in (5, 15, 50):
             table = build_table(f"[0;({a})]", 4)
-            cols[a] = empirical_limit(table, 4, grid, budget=args.budget)
+            cols[a] = empirical_limit(table, 4, grid)
         two_sin = np.abs(2.0 * np.sin(np.pi * grid))
         rows = zip(map(float, grid), cols[5], cols[15], cols[50], two_sin)
         path = os.path.join(args.out, "fig1.csv")
         serialize.write_csv(path, ["x", "a5", "a15", "a50", "two_sin"], rows)
     elif args.which == "fig2":
         table = build_table("[0;(2,50)]", 5)
-        k4 = empirical_limit(table, 4, grid, budget=args.budget)
-        k5 = empirical_limit(table, 5, grid, budget=args.budget)
+        k4 = empirical_limit(table, 4, grid)
+        k5 = empirical_limit(table, 5, grid)
         two_sin = np.abs(2.0 * np.sin(np.pi * grid))
         path = os.path.join(args.out, "fig2.csv")
         serialize.write_csv(path, ["x", "k4", "k5", "two_sin"],
                             zip(map(float, grid), k4, k5, two_sin))
     else:
         table = build_table("[0;(15)]", 4)
-        emp = empirical_limit(table, 4, grid, budget=args.budget)
+        emp = empirical_limit(table, 4, grid)
         closed = g_alpha(15, grid)
         path = os.path.join(args.out, "fig3.csv")
         serialize.write_csv(path, ["x", "empirical", "closed_form", "residual"],
@@ -350,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--which", choices=("fig1", "fig2", "fig3"), required=True)
     s.add_argument("--out", required=True, help="output directory")
     s.add_argument("--grid", type=_parse_grid, default="-1:1:0.005")
-    s.add_argument("--budget", type=int, default=DEFAULT_CURVE_BUDGET)
     s.set_defaults(fn=cmd_figures)
 
     s = sub.add_parser("verify", help="run a verification suite against fixtures")

@@ -18,10 +18,6 @@ class ParseError(SudlerError):
         self.position = position
 
 
-class PrecisionError(SudlerError):
-    """Requested computation exceeds the configured precision budget."""
-
-
 class RationalDepthError(SudlerError):
     """A rational alpha has no convergents beyond its last one."""
 

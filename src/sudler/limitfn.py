@@ -10,10 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
-from .cf import WORKING_BITS, AlphaSpec, ConvergentTable, build_table, parse_alpha
+from .cf import AlphaSpec, ConvergentTable, build_table, parse_alpha
 from .cotangent import digamma
 from .errors import BudgetError, RangeError, SudlerError
 from .products import log_sudler_shifted
@@ -33,8 +32,9 @@ def limit_constants(alpha: AlphaSpec | str, r: int) -> LimitConstants:
     """Limit constants for residue class r (1 <= r <= p).
 
     C_r = 1/(beta + gamma) and D_r = gamma C_r with beta = [c_{r+1}; c_{r+2}, ...]
-    and gamma = [0; c_r, c_{r-1}, ...] over the period c, each the
-    deep-convergent alpha value of a K = 1 table.
+    and gamma = [0; c_r, c_{r-1}, ...] over the period c.  With beta and gamma
+    the deep convergents P/Q of two K = 1 tables, both are integer quotients,
+    rounded once.
     """
     if isinstance(alpha, str):
         alpha = parse_alpha(alpha)
@@ -46,14 +46,13 @@ def limit_constants(alpha: AlphaSpec | str, r: int) -> LimitConstants:
         raise RangeError(f"r={r} outside [1, {p}]")
     forward = AlphaSpec(per[r % p], period=tuple(per[(r + 1 + i) % p] for i in range(p)))
     backward = AlphaSpec(period=tuple(per[(r - 1 - i) % p] for i in range(p)))
-    beta = build_table(forward, 1).alpha_value
-    gamma = build_table(backward, 1).alpha_value
-    with mpmath.workprec(WORKING_BITS + 16):
-        C = 1 / (beta + gamma)
-        D = gamma * C
-    if not 0 < float(D) < float(C) < 1:
+    Pb, Qb = build_table(forward, 1).deep
+    Pg, Qg = build_table(backward, 1).deep
+    denom = Pb * Qg + Pg * Qb  # beta + gamma = denom / (Qb Qg)
+    C, D = Qb * Qg / denom, Pg * Qb / denom
+    if not 0 < D < C < 1:
         raise SudlerError("limit constants failed the 0 < D < C < 1 sanity check")
-    return LimitConstants(float(C), float(D))
+    return LimitConstants(C, D)
 
 
 def _three_sinc(x: np.ndarray) -> np.ndarray:
@@ -83,17 +82,14 @@ def _main_term_curve(a_exp: int, C: float, D: float, x) -> np.ndarray:
 def g_alpha(a: int, x):
     """Closed-form main term of the limit curve for alpha = [0; (a)].
 
-    The pole/zero pairs are evaluated in factored form, so grid points landing
-    exactly on 0 or +-1 are fine.  Valid for |x| <= 2 - 2/a.
+    This is `g_alpha_r` at r = 1.  The pole/zero pairs are evaluated in
+    factored form, so grid points landing exactly on 0 or +-1 are fine.
+    Valid for |x| <= 2 - 2/a.
     """
     a = int(a)
     if a < 1:
         raise RangeError("a must be >= 1")
-    s = math.sqrt(a * a + 4.0)
-    C = 1.0 / s
-    D = (s - a) / (2.0 * s)
-    out = _main_term_curve(a, C, D, x)
-    return out if np.ndim(x) else float(out[0])
+    return g_alpha_r(AlphaSpec(period=(a,)), 1, x)
 
 
 def g_alpha_r(alpha: AlphaSpec | str, r: int, x):

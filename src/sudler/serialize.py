@@ -11,7 +11,7 @@ import json
 
 import mpmath
 
-from .cf import WORKING_BITS, ConvergentTable, parse_alpha
+from .cf import WORKING_BITS, ConvergentTable, build_table
 from .errors import SudlerError
 
 SCHEMA_VERSION = 1
@@ -35,16 +35,6 @@ def mpf_to_hex(x) -> str:
     return f"{'-' if sign else ''}0x{man:x}p{exp:+d}"
 
 
-def mpf_from_hex(s: str):
-    neg = s.startswith("-")
-    body = s[1:] if neg else s
-    man_s, _, exp_s = body.partition("p")
-    man = int(man_s, 16)
-    exp = int(exp_s)
-    with mpmath.workprec(max(man.bit_length(), 8)):
-        return mpmath.ldexp(mpmath.mpf(-man if neg else man), exp)
-
-
 def table_to_dict(table: ConvergentTable) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -62,19 +52,18 @@ def table_to_dict(table: ConvergentTable) -> dict:
 
 
 def table_from_dict(d: dict) -> ConvergentTable:
-    if d.get("schema_version") != SCHEMA_VERSION:
-        raise SudlerError(f"unsupported schema_version {d.get('schema_version')!r}")
-    alpha = parse_alpha(d["alpha"])
-    return ConvergentTable(
-        alpha, d["K_max"],
-        [int(x) for x in d["a"]],
-        [int(x) for x in d["p"]],
-        [int(x) for x in d["q"]],
-        [mpf_from_hex(x) for x in d["theta"]],
-        [mpf_from_hex(x) for x in d["delta"]],
-        [mpf_from_hex(x) for x in d["eta"]],
-        mpf_from_hex(d["alpha_value"]),
-    )
+    """Rebuild the table a `table_to_dict` document describes, and check it.
+
+    The table is `build_table(alpha, K_max)` again; any field the document
+    states differently raises.  Keys that `table_to_dict` does not write,
+    such as the "tail_depth" of older documents, are ignored.
+    """
+    table = build_table(d["alpha"], d["K_max"])
+    for key, value in table_to_dict(table).items():
+        if d.get(key) != value:
+            raise SudlerError(f"table document field {key!r} differs from the table "
+                              f"of {d['alpha']} at K_max={d['K_max']}")
+    return table
 
 
 def scan_result_to_dict(res) -> dict:

@@ -16,9 +16,16 @@ import numpy as np
 
 from .cf import ConvergentTable
 from .cotangent import v_k
-from .errors import RangeError, SudlerError
+from .errors import BudgetError, RangeError, SudlerError
 from .ostrowski import OstrowskiDigits, b_star, decode, encode, epsilon_profile, n_star, project
-from .products import block_args, block_shifts, log_sudler, log_sudler_shifted, scan
+from .products import (
+    DEFAULT_SCAN_BUDGET,
+    block_args,
+    block_shifts,
+    log_sudler,
+    log_sudler_shifted,
+    scan,
+)
 
 # zeta(2n) / (n (2n + 1)), n = 1..25: the Clausen-series coefficients.  At
 # y = 1/2 the 26th term is below 1e-19.
@@ -79,7 +86,7 @@ def concavity_ratio(y: float) -> float:
 
 
 def _b2_interval_closed(s: np.ndarray) -> np.ndarray:
-    """Exact int_0^1 B2(t)/(t+s)^2 dt used for the accelerated tail."""
+    """Exact int_0^1 B2(t)/(t+s)^2 dt, one unit period of the integrals below."""
     return 0.5 - (s + 0.5) * np.log1p(1.0 / s) + (s * s / 2 + s / 2 + 1.0 / 12.0) / (
         s * (s + 1.0)
     )
@@ -88,24 +95,13 @@ def _b2_interval_closed(s: np.ndarray) -> np.ndarray:
 def bernoulli_b2_integrals() -> tuple[float, float]:
     """Numeric values of int_1^inf B2({x})/(x-5/6)^2 dx and int_1^inf B2({x})/x^2 dx.
 
-    The first 64 unit periods are integrated with Gauss-Legendre nodes, the
-    rest up to x = 200,000 with the per-period closed form; the neglected
-    remainder is O(200,000^-3) and far below the 1e-6 comparison tolerance.
+    The unit periods up to x = 200,000 are summed in the per-period closed
+    form; the neglected remainder is O(200,000^-3) and far below the 1e-6
+    comparison tolerance.
     """
-    front, tail = 64, 200_000
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    t = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
-    b2 = t * t / 2.0 - t / 2.0 + 1.0 / 12.0
-    out = []
-    for c in (5.0 / 6.0, 0.0):
-        total = 0.0
-        for m in range(1, front + 1):
-            total += float(np.sum(w * b2 / (t + (m - c)) ** 2))
-        s = np.arange(front + 1, tail + 1, dtype=np.float64) - c
-        total += float(np.sum(_b2_interval_closed(s)))
-        out.append(total)
-    return out[0], out[1]
+    m = np.arange(1, 200_001, dtype=np.float64)
+    return (float(np.sum(_b2_interval_closed(m - 5.0 / 6.0))),
+            float(np.sum(_b2_interval_closed(m))))
 
 
 def bernoulli_b2_closed_forms() -> tuple[float, float]:
@@ -304,8 +300,10 @@ def theorem3_budget_shape(table: ConvergentTable, K: int) -> float:
 
 def pnstar_prediction(table: ConvergentTable, K: int, fixtures: dict) -> PredictionReport:
     """Main-term value of log P at the near-maximizer digit vector vs. direct evaluation."""
-    star = n_star(table, K)
-    observed = log_sudler(table, decode(star)).require_nonzero()
+    N = decode(n_star(table, K))
+    if N > DEFAULT_SCAN_BUDGET:
+        raise BudgetError(f"N*={N} exceeds scan budget {DEFAULT_SCAN_BUDGET}")
+    observed = log_sudler(table, N).require_nonzero()
     v = vol41() / (4.0 * math.pi)
     prediction = v * sum(table.a[k] for k in range(1, K + 1)) + 0.5 * sum(
         math.log(table.a[k]) for k in range(1, K + 1)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from sudler import (
     AlphaSpec,
     ParseError,
-    PrecisionError,
     RationalDepthError,
     SudlerError,
     build_table,
@@ -22,7 +21,7 @@ from sudler import (
 from sudler.cf import WORKING_BITS, _convergents
 from sudler.limitfn import limit_constants
 from sudler.numerics import CHUNK, frac_parts_dd, log_two_sin
-from sudler.serialize import mpf_from_hex, mpf_to_hex, table_from_dict, table_to_dict
+from sudler.serialize import mpf_to_hex, table_from_dict, table_to_dict
 
 
 def frac_part_via_convergent(t, n, k):
@@ -294,14 +293,25 @@ class TestFracPart:
                 b = frac_part_via_convergent(t, int(n), 6)
                 assert abs(a - b) < tol
 
-    def test_precision_guard(self):
-        # q_20 has 211 bits, so the table reaches n with 192 bits, and
-        # WORKING_BITS cannot cover bitlen(n) + 64 for them.
-        t = build_table("rule:powers-of-two", 20)
-        assert t.q[20].bit_length() == 211
-        assert 0 < t.frac_part(2 ** 191 - 1) < 1
-        with pytest.raises(PrecisionError):
-            t.frac_part(2 ** 191)
+    @pytest.mark.parametrize("spec,K", [
+        ("golden", 60), ("sqrt2", 40), ("[0;(15)]", 8), ("[0;(1,1000000000000)]", 8),
+        ("rule:powers-of-two", 20),
+    ])
+    def test_exact_residue_of_deeper_convergent(self, spec, K):
+        # Within 2^-250 of n*P mod Q over Q for a convergent P/Q with
+        # Q > 2^4096, at every n the table covers; q_20 of rule:powers-of-two
+        # has 211 bits.
+        t = build_table(spec, K)
+        q_K = int(t.q[K])
+        _, p, q = _convergents(t.alpha, lambda q: q[-1].bit_length() > 4096)
+        P, Q = p[-1], q[-1]
+        rng = np.random.default_rng(5)
+        ns = {1, q_K - 1, int(t.q[K - 1])} | {int(n) % q_K for n in rng.integers(1, 2 ** 62, 8)}
+        if q_K.bit_length() > 192:
+            ns |= {2 ** 191 - 1, 2 ** 191}
+        with mpmath.workprec(600):
+            for n in sorted(ns):
+                assert abs(t.frac_part(n) - mpmath.mpf(n * P % Q) / Q) < mpmath.mpf(2) ** -250, n
 
     def test_frac_doubles_match_scalar(self, tables):
         # Signed: arr[n] is n*alpha minus its nearest integer, to within a
@@ -387,10 +397,12 @@ class TestFracPart:
 
 class TestSerialization:
     def test_mpf_hex_roundtrip(self):
+        # The hex mantissa times 2^exponent is the mpf exactly.
         with mpmath.workprec(256):
             vals = [mpmath.mpf(0), mpmath.sqrt(2), -mpmath.mpf(1) / 3, mpmath.mpf(5)]
         for v in vals:
-            assert mpf_from_hex(mpf_to_hex(v)) == v
+            man, _, exp = mpf_to_hex(v).partition("p")
+            assert mpmath.ldexp(int(man, 16), int(exp)) == v
 
     def test_table_roundtrip_bit_exact(self, tables):
         t = tables["[0;2,(1,4)]"]

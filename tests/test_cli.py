@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import shlex
 import subprocess
 import sys
 
@@ -66,6 +67,32 @@ def test_cf_table_roundtrip(tmp_path):
     assert rc == 0
     doc = load_json(str(out))
     assert table_to_dict(table_from_dict(doc)) == doc
+
+
+def test_cf_document_with_altered_theta_is_rejected(tmp_path):
+    out = tmp_path / "table.json"
+    assert main(["cf", "--alpha", "[0;2,(1,4)]", "--K", "6", "--out", str(out)]) == 0
+    doc = load_json(str(out))
+    doc["theta"][3] = doc["theta"][4]
+    with pytest.raises(sudler.SudlerError, match="theta"):
+        table_from_dict(doc)
+
+
+def _readme_command_lines():
+    readme = os.path.join(os.path.dirname(SRC), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("sudler ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    lines = _readme_command_lines()
+    assert len(lines) == 9
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        assert "Traceback" not in capsys.readouterr().err, line
 
 
 def test_ostrowski_command(capsys):
@@ -170,6 +197,13 @@ def test_rational_depth_error_exits_1(capsys):
     rc = main(["cf", "--alpha", "[0;2,3]", "--K", "5"])
     assert rc == 1
     assert "convergent" in capsys.readouterr().err
+
+
+def test_theorem3_beyond_scan_budget_exits_1(capsys):
+    # N* = 979,960,269,728 at K = 12: refused before the direct product.
+    assert main(["verify", "--suite", "theorem3", "--alpha", "[0;(10)]", "--K", "12"]) == 1
+    err = capsys.readouterr().err
+    assert "exceeds scan budget" in err and "Traceback" not in err
 
 
 def test_verify_report_json(tmp_path):
@@ -314,8 +348,7 @@ _ARGVS = st.one_of(
     _argv(st.just("limitfn"), _COMMON, st.just("--k"), _INTS, st.just("--grid"), _GRIDS,
           _opt("--closed-form", st.just("")), _opt("--budget", st.integers(0, 5000))),
     _argv(st.just("figures"), st.just("--which"),
-          st.sampled_from(["fig1", "fig2", "fig3", "fig4"]),
-          st.just("--grid"), _GRIDS, st.just("--budget"), st.sampled_from([0, 25000, 60000])),
+          st.sampled_from(["fig1", "fig2", "fig3", "fig4"]), st.just("--grid"), _GRIDS),
     _argv(st.just("verify"), _COMMON, st.just("--suite"),
           st.sampled_from(tuple(SUITES) + ("nope",)), st.just("--K"), st.integers(-1, 3),
           _opt("--c", st.sampled_from(["2", "-1", "abc", "nan", "inf"])),

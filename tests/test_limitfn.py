@@ -57,6 +57,22 @@ class TestClosedForm:
         b = g_alpha_r("[0;(7)]", 1, grid)
         assert np.max(np.abs(a - b)) < 1e-12
 
+    def test_a100_against_mpmath(self):
+        # C and D come correctly rounded from limit_constants: D = (s - a)/(2s)
+        # in float64 would cancel to 2.75e-13 relative and move g near x = 1 - D.
+        a = 100
+        xs = (-0.9, -0.5, 0.25, 0.5, 0.9, 0.98, 0.985, 0.99)
+        got = g_alpha(a, np.array(xs))
+        with mpmath.workdps(100):
+            s = mpmath.sqrt(a * a + 4)
+            C, D = 1 / s, (s - a) / (2 * s)
+            for x, g in zip(map(mpmath.mpf, xs), got):
+                ref = (2 * abs(mpmath.sin(mpmath.pi * x) / (x * (1 - x * x)))
+                       * abs(x + C) * abs(x + 1 + C - D) * abs(x - 1 + D)
+                       * mpmath.exp(C * (mpmath.log(a / (2 * mpmath.pi))
+                                         - mpmath.digamma(2 + x))))
+                assert abs(g - ref) <= 1e-15 * ref, x
+
     def test_zeros_at_shifted_points(self):
         lc = limit_constants("[0;(15)]", 1)
         C, D = lc.C_r, lc.D_r
