@@ -190,7 +190,7 @@ def _ek_residual() -> dict:
             for k in range(1, K):
                 if digits.digits[k] < 1:
                     continue
-                e = e_k_residual(table, digits, k)
+                e = e_k_residual(digits, k)
                 worst = max(worst, e * table.a[k + 1] * int(table.q[k]))
     return {"C": worst * MARGIN}
 
@@ -205,7 +205,7 @@ def _un_residual() -> dict:
         digits = encode(table, int(N), K=K)
         if any(b > cutoff for b in digits.digits[1:]):
             continue
-        un = u_n_log(table, digits)
+        un = u_n_log(digits)
         resids.append(
             log_sudler(table, int(N)).require_nonzero() - un.log_u - un.below_k0_log
         )

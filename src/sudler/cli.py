@@ -66,6 +66,12 @@ def _parse_c_list(text: str) -> tuple:
             f"expected comma-separated numbers, got {text!r}") from None
 
 
+def _parse_seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _add_alpha(sub, default=None):
     sub.add_argument("--alpha", default=default, required=default is None,
                      help="alpha specification")
@@ -93,12 +99,12 @@ def cmd_ostrowski(args) -> int:
         "schema_version": serialize.SCHEMA_VERSION,
         "alpha": table.alpha.render(),
         "N": str(args.N),
-        "digits": digits.to_list(),
+        "digits": list(digits.digits),
         "epsilon": {str(k): serialize.float_to_hex(float(v)) for k, v in eps.items()},
     }
     if args.out:
         serialize.dump_json(doc, args.out)
-    print(f"N={args.N} digits={digits.to_list()} (decode={decode(digits)})")
+    print(f"N={args.N} digits={list(digits.digits)} (decode={decode(digits)})")
     return 0
 
 
@@ -109,7 +115,7 @@ def cmd_scan(args) -> int:
     if args.out:
         serialize.dump_json(serialize.scan_result_to_dict(res), args.out)
     digits = encode(table, res.argmax_N, K=args.K)
-    print(f"q_K={res.q_K} argmax_N={res.argmax_N} digits={digits.to_list()} "
+    print(f"q_K={res.q_K} argmax_N={res.argmax_N} digits={list(digits.digits)} "
           f"max_log={res.max_log:.9f}")
     for c in sorted(res.sums):
         print(f"  c={c:g}: log sum = {res.sums[c]:.9f}")
@@ -214,7 +220,7 @@ def _suite_decomp(args, fixtures) -> list[PredictionReport]:
     res = scan(table, K)
     for N in range(res.q_K):
         digits = encode(table, N, K=K)
-        total = decompose(table, digits).total
+        total = decompose(digits).total
         direct = float(res.values[N])
         worst = max(worst, abs(total - direct) / (1.0 + abs(direct)))
     return [PredictionReport(f"decomposition identity N<q_{K}", 0.0, worst, 1e-9)]
@@ -355,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--c", type=_parse_c_list, default="",
                    help="comma-separated norm exponents")
     s.add_argument("--fixtures", default=None)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_parse_seed, default=0)
     s.add_argument("--out")
     s.set_defaults(fn=cmd_verify)
 
@@ -379,7 +385,9 @@ def main(argv=None) -> int:
         try:
             args = ap.parse_args(argv)
             return args.fn(args)
-        except SudlerError as exc:
+        except BrokenPipeError:
+            raise
+        except (SudlerError, OSError) as exc:  # OSError: an --out that cannot be written
             print(f"error: {exc}", file=sys.stderr)
             return 1
         finally:

@@ -5,6 +5,7 @@ Digits are stored least-significant first: digits[k] is the coefficient of q_k.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,13 @@ def delta_T_default(T: float) -> float:
 
 @dataclass(frozen=True)
 class OstrowskiDigits:
-    """Digit vector b_0..b_{K-1} over a convergent table, with validity state."""
+    """Digit vector b_0..b_{K-1} over a convergent table.
+
+    The digit rules are checked once, here: length <= K_max,
+    0 <= b_0 < a_1, 0 <= b_k <= a_{k+1}, and b_k = a_{k+1} only after
+    b_{k-1} = 0.  A vector that breaks them raises InvalidDigitsError, so
+    every OstrowskiDigits in hand is valid.
+    """
 
     digits: tuple
     table: ConvergentTable
@@ -30,36 +37,24 @@ class OstrowskiDigits:
     def K(self) -> int:
         return len(self.digits)
 
-    def violations(self) -> list[str]:
-        out = []
+    def __post_init__(self):
         t = self.table
         if self.K > t.K_max:
-            out.append(f"length {self.K} exceeds table K_max={t.K_max}")
-            return out
-        for k, b in enumerate(self.digits):
-            hi = t.a[1] - 1 if k == 0 else t.a[k + 1]
-            if not 0 <= b <= hi:
-                out.append(f"b_{k}={b} outside [0, {hi}]")
-        for k in range(1, self.K):
-            if self.digits[k] == t.a[k + 1] and self.digits[k - 1] != 0:
-                out.append(f"b_{k}=a_{k + 1} requires b_{k - 1}=0")
-        return out
-
-    @property
-    def is_valid(self) -> bool:
-        return not self.violations()
-
-    def require_valid(self):
-        bad = self.violations()
+            bad = [f"length {self.K} exceeds table K_max={t.K_max}"]
+        else:
+            bad = []
+            for k, b in enumerate(self.digits):
+                hi = t.a[1] - 1 if k == 0 else t.a[k + 1]
+                if not 0 <= b <= hi:
+                    bad.append(f"b_{k}={b} outside [0, {hi}]")
+            for k in range(1, self.K):
+                if self.digits[k] == t.a[k + 1] and self.digits[k - 1] != 0:
+                    bad.append(f"b_{k}=a_{k + 1} requires b_{k - 1}=0")
         if bad:
             raise InvalidDigitsError(
                 "invalid Ostrowski digits: " + "; ".join(bad),
-                digits=self, violations=bad,
+                digits=self.digits, violations=bad,
             )
-
-    def to_list(self) -> list[int]:
-        # JSON convention: integer array, most-significant digit last.
-        return list(self.digits)
 
 
 def encode(table: ConvergentTable, N: int, K: int | None = None) -> OstrowskiDigits:
@@ -79,13 +74,10 @@ def encode(table: ConvergentTable, N: int, K: int | None = None) -> OstrowskiDig
     rem = N
     for k in range(K - 1, -1, -1):
         digits[k], rem = divmod(rem, table.q[k])
-    out = OstrowskiDigits(tuple(digits), table)
-    out.require_valid()
-    return out
+    return OstrowskiDigits(tuple(digits), table)
 
 
 def decode(digits: OstrowskiDigits) -> int:
-    digits.require_valid()
     return sum(b * digits.table.q[k] for k, b in enumerate(digits.digits))
 
 
@@ -99,9 +91,7 @@ def n_star(table: ConvergentTable, K: int) -> OstrowskiDigits:
     if not 1 <= K <= table.K_max:
         raise RangeError(f"K={K} outside [1, {table.K_max}]")
     digits = tuple(b_star(table.a[k + 1]) for k in range(K))
-    out = OstrowskiDigits(digits, table)
-    out.require_valid()  # floor(5a/6) < a, so always valid
-    return out
+    return OstrowskiDigits(digits, table)  # floor(5a/6) < a, so always valid
 
 
 def b_double_star(a_next: int, delta_T: float) -> int:
@@ -124,7 +114,6 @@ def epsilon_profile(digits: OstrowskiDigits) -> dict:
 
     Keyed by the indices k with b_k >= 1; eps_k is undefined elsewhere.
     """
-    digits.require_valid()
     t = digits.table
     K = digits.K
     with mpmath.workprec(WORKING_BITS + 16):
@@ -141,31 +130,23 @@ def epsilon_profile(digits: OstrowskiDigits) -> dict:
 
 def project(digits: OstrowskiDigits, m: int, B: int) -> OstrowskiDigits:
     """Replace digit m with B; raises if the result breaks the digit rules."""
-    digits.require_valid()
     if not 0 <= m < digits.K:
         raise RangeError(f"index m={m} outside [0, {digits.K - 1}]")
-    if B < 0:
-        raise RangeError("replacement digit must be non-negative")
     new = list(digits.digits)
     new[m] = int(B)
-    out = OstrowskiDigits(tuple(new), digits.table)
-    out.require_valid()
-    return out
+    return OstrowskiDigits(tuple(new), digits.table)
 
 
 def enumerate_valid(table: ConvergentTable, K: int):
-    """All valid digit vectors of length K, in lexicographic order from b_0."""
+    """All valid digit vectors of length K, in lexicographic order from b_0.
+
+    These are the vectors of the box 0 <= b_k <= a_{k+1} that OstrowskiDigits
+    accepts; the box has prod (a_{k+1} + 1) entries, so keep a and K small.
+    """
     if not 1 <= K <= table.K_max:
         raise RangeError(f"K={K} outside [1, {table.K_max}]")
-
-    def rec(k, prefix):
-        if k == K:
-            yield OstrowskiDigits(tuple(prefix), table)
-            return
-        hi = table.a[1] - 1 if k == 0 else table.a[k + 1]
-        for b in range(hi + 1):
-            if k >= 1 and b == table.a[k + 1] and prefix[-1] != 0:
-                continue
-            yield from rec(k + 1, prefix + [b])
-
-    yield from rec(0, [])
+    for digits in itertools.product(*(range(table.a[k + 1] + 1) for k in range(K))):
+        try:
+            yield OstrowskiDigits(digits, table)
+        except InvalidDigitsError:
+            pass

@@ -262,7 +262,7 @@ class Decomposition:
     total: float
 
 
-def block_args(table: ConvergentTable, digits: OstrowskiDigits, k: int, eps) -> np.ndarray:
+def block_args(digits: OstrowskiDigits, k: int, eps) -> np.ndarray:
     """x_b = b delta_k + eps_k for 0 <= b <= b_k as one float64 vector, empty if b_k = 0.
 
     eps is the digit vector's epsilon_profile.  x_0 .. x_{b_k - 1} are the
@@ -274,7 +274,7 @@ def block_args(table: ConvergentTable, digits: OstrowskiDigits, k: int, eps) -> 
     b_k = digits.digits[k]
     if b_k < 1:
         return np.empty(0)
-    x = float(table.delta[k]) * np.arange(b_k + 1) + float(eps[k])
+    x = float(digits.table.delta[k]) * np.arange(b_k + 1) + float(eps[k])
     bad = np.flatnonzero(~((-1.0 < x) & (x < 1.0)))
     if bad.size:
         b = int(bad[0])
@@ -282,19 +282,19 @@ def block_args(table: ConvergentTable, digits: OstrowskiDigits, k: int, eps) -> 
     return x
 
 
-def block_shifts(table: ConvergentTable, digits: OstrowskiDigits, k: int, eps) -> np.ndarray:
+def block_shifts(digits: OstrowskiDigits, k: int, eps) -> np.ndarray:
     """Shifts (-1)^k x_b / q_k of the b_k length-q_k blocks at digit k (see block_args)."""
     sign = 1 if k % 2 == 0 else -1
-    return sign * block_args(table, digits, k, eps)[:-1] / table.q[k]
+    return sign * block_args(digits, k, eps)[:-1] / digits.table.q[k]
 
 
-def decompose(table: ConvergentTable, digits: OstrowskiDigits) -> Decomposition:
+def decompose(digits: OstrowskiDigits) -> Decomposition:
     """Evaluate P_N through shifted length-q_k blocks driven by the digit vector."""
-    digits.require_valid()
+    table = digits.table
     eps = epsilon_profile(digits)
     factors = []
     for k in range(digits.K):
-        blocks = log_sudler_shifted(table, table.q[k], block_shifts(table, digits, k, eps))
+        blocks = log_sudler_shifted(table, table.q[k], block_shifts(digits, k, eps))
         factors.extend((k, b, lp.require_nonzero()) for b, lp in enumerate(blocks))
     total = kahan_sum(f for _, _, f in factors)
     return Decomposition(tuple(factors), total)

@@ -137,7 +137,7 @@ def test_criterion_3_decomposition_oracle():
         worst = 0.0
         for N in range(int(t.q[5])):
             digits = encode(t, N, K=5)
-            total = decompose(t, digits).total
+            total = decompose(digits).total
             direct = float(vals[N])
             worst = max(worst, abs(total - direct) / (1.0 + abs(direct)))
         c.check(f"decomposition {spec}", worst <= 1e-9)

@@ -3,8 +3,8 @@
 perfbench/tracing.py wraps package functions by name; a refactor that
 removes or moves one silently zeroes that layer's metrics.  This loads the
 tracer by path and checks each name it patches, and runs the benchmark's
-cotangent operation through its own output check, so such a refactor, or a
-change to a parsed output format, fails here and not only in
+verify and cotangent operations through its own output checks, so such a
+refactor, or a change to a parsed output format, fails here and not only in
 perfbench/check_smoke.py.
 """
 
@@ -45,3 +45,14 @@ def test_cotangent_output_parses():
            if op.name == "cli.cotangent")
     out = op.run()
     assert workloads.check_cotangent(7, out) == ([], {})
+
+
+def test_verify_output_parses():
+    # the smoke run of verify_family's verify ops: each suite at a = 7, K = 2
+    workloads = _load("workloads")
+    ops = [op for op in workloads._verify_ops(sudler, None, 1, True)
+           if op.name.startswith("cli.verify.")]
+    assert len(ops) == len(workloads.VERIFY_SUITES)
+    for op in ops:
+        problems, info = op.check(op.run())
+        assert problems == [] and info["reports"] >= 1, (op.name, problems)

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sudler
+from sudler import calibration
 from sudler.calibration import load_fixtures, save_fixtures
 from sudler.cli import SUITES, _parse_grid, main
 from sudler.serialize import load_json, table_from_dict, table_to_dict
@@ -248,13 +249,37 @@ def test_grid_points_are_exact(text, zero):
     ["limitfn", "--alpha", "[0;(15)]", "--k", "3", "--grid", "0:1e15:1"],
     ["cotangent", "--alpha", "[0;(15)]", "--k", "3", "--grid", "0:1e15:1"],
     ["figures", "--which", "fig1", "--out", "figs", "--grid", "0:1e300:1e-300"],
+    # q_3 = 8,040 > 4,096, so theorem1 would draw a seeded sample
+    ["verify", "--suite", "theorem1", "--alpha", "[0;(20)]", "--K", "3", "--seed", "-1"],
 ], ids=["scan-bad-c", "verify-bad-c", "limitfn-huge-grid", "cotangent-huge-grid",
-        "figures-overflowing-grid"])
+        "figures-overflowing-grid", "verify-negative-seed"])
 def test_bad_argument_exits_2_without_traceback(argv):
     proc = _python(["-m", "sudler.cli", *argv])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["cf", "--alpha", "golden", "--K", "3"],
+    ["ostrowski", "--alpha", "golden", "--K", "4", "--N", "3"],
+    ["scan", "--alpha", "[0;(5)]", "--K", "3"],
+    ["cotangent", "--alpha", "[0;(15)]", "--k", "3", "--grid", "0:0.5:0.25"],
+    ["verify", "--suite", "decomp", "--alpha", "[0;(5)]", "--K", "2"],
+    ["calibrate"],
+], ids=["cf", "ostrowski", "scan", "cotangent", "verify", "calibrate"])
+def test_unwritable_out_exits_1(argv, tmp_path, capsys, monkeypatch):
+    # A full calibration takes too long here; its fixtures go through the same write.
+    monkeypatch.setattr(calibration, "calibrate", lambda out_path: save_fixtures({}, out_path))
+    assert main([*argv, "--out", str(tmp_path / "missing" / "x.json")]) == 1
+    assert "error: [Errno 2]" in capsys.readouterr().err
+
+
+def test_figures_out_that_is_a_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "fig.csv"
+    path.write_text("")
+    assert main(["figures", "--which", "fig3", "--grid", "0:0.5:0.25", "--out", str(path)]) == 1
+    assert "error: [Errno 17]" in capsys.readouterr().err
 
 
 def test_fixtures_without_limit_curve_exit_1(tmp_path):
@@ -352,7 +377,7 @@ _ARGVS = st.one_of(
     _argv(st.just("verify"), _COMMON, st.just("--suite"),
           st.sampled_from(tuple(SUITES) + ("nope",)), st.just("--K"), st.integers(-1, 3),
           _opt("--c", st.sampled_from(["2", "-1", "abc", "nan", "inf"])),
-          _opt("--seed", st.integers(0, 3))),
+          _opt("--seed", st.integers(-3, 3))),
     st.sampled_from([[], ["--version"], ["calibrate", "--out"], ["calibrate", "--bogus"]]),
 ).map(lambda argv: [tok for tok in argv if tok != ""])
 

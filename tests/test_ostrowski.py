@@ -180,15 +180,23 @@ class TestProject:
     def test_rule_violation_raises(self):
         t = build_table("[0;(5)]", 5)
         d = OstrowskiDigits((2, 1, 1), t)
-        assert d.is_valid
         with pytest.raises(InvalidDigitsError) as err:
             project(d, 1, t.a[2])  # b_1 = a_2 with b_0 != 0 breaks the carry rule
         assert err.value.violations
 
     def test_validity_state_surfaced(self):
         t = build_table("[0;(5)]", 5)
-        bad = OstrowskiDigits((2, 5, 1), t)
-        assert not bad.is_valid
-        assert bad.violations()
-        with pytest.raises(InvalidDigitsError):
-            decode(bad)
+        with pytest.raises(InvalidDigitsError) as err:
+            OstrowskiDigits((2, 5, 1), t)
+        assert err.value.violations == ["b_1=a_2 requires b_0=0"]
+        assert err.value.digits == (2, 5, 1)
+
+    @pytest.mark.parametrize("digits, violations", [
+        ((2, 5, 1, 0, 0, 0), ["length 6 exceeds table K_max=3"]),
+        ((5, 6, -1), ["b_0=5 outside [0, 4]", "b_1=6 outside [0, 5]", "b_2=-1 outside [0, 5]"]),
+    ])
+    def test_every_rule_checked_at_construction(self, digits, violations):
+        t = build_table("[0;(5)]", 3)
+        with pytest.raises(InvalidDigitsError) as err:
+            OstrowskiDigits(digits, t)
+        assert err.value.violations == violations

@@ -300,13 +300,13 @@ class TestDecompose:
     def test_all_zero_digits(self, tables):
         t = tables["golden"]
         d = encode(t, 0, K=5)
-        dec = decompose(t, d)
+        dec = decompose(d)
         assert dec.factors == () and dec.total == 0.0
 
     def test_single_digit_telescopes(self):
         t = build_table("[0;(5)]", 4)
         d = OstrowskiDigits((3,), t)
-        dec = decompose(t, d)
+        dec = decompose(d)
         assert dec.total == pytest.approx(log_sudler(t, 3).log_value, abs=1e-10)
 
     def test_identity_one_alpha(self):
@@ -314,7 +314,7 @@ class TestDecompose:
         vals = scan(t, 4).values
         for N in range(int(t.q[4])):
             d = encode(t, N, K=4)
-            dec = decompose(t, d)
+            dec = decompose(d)
             direct = float(vals[N])
             assert abs(dec.total - direct) <= 1e-9 * (1 + abs(direct))
 
@@ -322,7 +322,7 @@ class TestDecompose:
         # every inner shift b*delta_k + eps_k must fall inside (-1, 1)
         t = build_table("[0;2,(1,4)]", 6)
         for N in range(int(t.q[5])):
-            decompose(t, encode(t, N, K=5))  # raises on violation
+            decompose(encode(t, N, K=5))  # raises on violation
 
 
 class TestBlockArgs:
@@ -344,8 +344,8 @@ class TestBlockArgs:
             d = OstrowskiDigits(tuple(min(b, 9) for b in encode(t, N, K=K).digits), t)
             eps = epsilon_profile(d)
             for k in eps:
-                x = block_args(t, d, k, eps)
-                shifts = block_shifts(t, d, k, eps)
+                x = block_args(d, k, eps)
+                shifts = block_shifts(d, k, eps)
                 assert x.dtype == np.float64 and len(x) == d.digits[k] + 1
                 assert len(shifts) == d.digits[k]
                 sign = 1 if k % 2 == 0 else -1
@@ -362,11 +362,12 @@ class TestBlockArgs:
 
     def test_range_check_raises_on_unvalidated_digits(self):
         t = build_table("[0;(10)]", 4)
-        d = OstrowskiDigits((0, 15, 0), t)  # b_1 = 15 > a_2 = 10, never validated
-        assert not d.is_valid
+        d = OstrowskiDigits((0, 5, 0), t)
+        # b_1 = 15 > a_2 = 10 fails at construction, so force it onto a valid vector.
+        object.__setattr__(d, "digits", (0, 15, 0))
         # eps_1 = -q_1 (b_2 theta_2 - ...) = 0: the digits above index 1 are 0.
         with pytest.raises(AssertionError, match=r"outside \(-1,1\) at k=1, b=11"):
-            block_args(t, d, 1, {1: 0.0})
+            block_args(d, 1, {1: 0.0})
 
 
 class TestBTransfer:

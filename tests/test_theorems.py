@@ -89,6 +89,23 @@ class TestBernoulliIntegrals:
         assert n1 == pytest.approx(c1, abs=1e-6)
         assert n2 == pytest.approx(c2, abs=1e-6)
 
+    def test_sums_at_double_precision(self):
+        # Summing the closed form per period cancels to ~3e-13 over 200,000
+        # periods; the large-s series keeps both sums at rounding level.
+        n1, n2 = bernoulli_b2_integrals()
+        c1, c2 = bernoulli_b2_closed_forms()
+        assert abs(n1 - c1) <= 2e-15 and abs(n2 - c2) <= 2e-15
+
+    @pytest.mark.parametrize("s", [1.0, 19.5, 20.0, 37.25, 1e5])
+    def test_one_period_is_half_b2(self, s):
+        # the integrand is B2({x})/2, not B2({x}); the series takes over at s = 20
+        with mpmath.workdps(40):
+            ref = mpmath.quad(lambda t: (t * t - t + mpmath.mpf(1) / 6) / (t + s) ** 2, [0, 1]) / 2
+        got = float(theorems._b2_period(np.array([s]))[0])
+        # the closed form is good to a few 1e-16 absolute, the series relative
+        tol = 4e-16 if s < 20 else 1e-15 * float(ref)
+        assert abs(got - float(ref)) <= tol
+
     def test_second_value(self):
         # -11/12 + log sqrt(2 pi) = 0.0022719...
         _, n2 = bernoulli_b2_integrals()
@@ -103,7 +120,7 @@ class TestDkTerms:
     def test_zero_at_star(self):
         t = build_table("[0;(50)]", 4)
         star = n_star(t, 3)
-        for term in d_k_terms(t, star, 3):
+        for term in d_k_terms(star):
             assert term.main == 0.0 and term.quad == 0.0
 
     def test_quadratic_constant(self):
@@ -112,7 +129,7 @@ class TestDkTerms:
     def test_main_integral_case(self):
         t = build_table("[0;(50)]", 4)
         d = OstrowskiDigits((0, 41, 41), t)
-        term = d_k_terms(t, d, 3)[0]
+        term = d_k_terms(d)[0]
         assert term.main == pytest.approx(
             50 * log_sin_integral(0.0, 41.0 / 50.0), rel=1e-12
         )
@@ -124,7 +141,7 @@ class TestDkTerms:
             b_star = (5 * a) // 6
             for b in range(a):
                 d = OstrowskiDigits((0, b, 0), t)
-                term = d_k_terms(t, d, 3)[1]
+                term = d_k_terms(d)[1]
                 lower = PENALTY_LOWER_CONSTANT * (b - b_star) ** 2 / a
                 if term.regime != REGIME_OUT:
                     assert term.main >= lower - slack
@@ -132,7 +149,7 @@ class TestDkTerms:
     def test_regimes(self):
         t = build_table("[0;(100)]", 4)
         d = OstrowskiDigits((0, 100, 83), t)
-        terms = d_k_terms(t, d, 3)
+        terms = d_k_terms(d)
         assert terms[0].regime == REGIME_FORMULA  # |b - b*| = 83 too far for the quadratic tag
         assert terms[1].regime == REGIME_OUT  # carry digit, only the lower bound applies
         assert terms[2].regime == REGIME_QUADRATIC  # at the peak
@@ -140,7 +157,7 @@ class TestDkTerms:
     def test_formula_regime_tag(self):
         t = build_table("[0;(100)]", 4)
         d = OstrowskiDigits((0, 40, 0), t)
-        assert d_k_terms(t, d, 3)[1].regime == REGIME_FORMULA
+        assert d_k_terms(d)[1].regime == REGIME_FORMULA
 
 
 class TestBlockSurrogate:
@@ -149,7 +166,7 @@ class TestBlockSurrogate:
         d = encode(t, int(t.q[2]) * 3, K=4)  # b_1 = 0 positions exist
         for k in range(1, 4):
             if d.digits[k] == 0:
-                assert u_k_log(t, d, k) == 0.0
+                assert u_k_log(d, k) == 0.0
 
     def test_un_residual_band(self, fixtures):
         # log P_N - log U_N - (below-k0 part) stays in the frozen band for
@@ -164,7 +181,7 @@ class TestBlockSurrogate:
             d = encode(t, int(N), K=K)
             if any(b > cutoff for b in d.digits[1:]):
                 continue
-            un = u_n_log(t, d)
+            un = u_n_log(d)
             resid = log_sudler(t, int(N)).require_nonzero() - un.log_u - un.below_k0_log
             assert lo <= resid <= hi
             checked += 1
@@ -176,7 +193,7 @@ class TestBlockSurrogate:
             t = build_table(spec, 4)
             d = n_star(t, 3)
             for k in (1, 2):
-                e = e_k_residual(t, d, k)
+                e = e_k_residual(d, k)
                 assert e <= C / (t.a[k + 1] * int(t.q[k]))
 
     def test_ek_blocks_and_surrogate_read_the_same_arguments(self, monkeypatch):
@@ -193,7 +210,7 @@ class TestBlockSurrogate:
         d = n_star(t, 3)
         for k in (1, 2):
             seen.clear()
-            e_k_residual(t, d, k)
+            e_k_residual(d, k)
             blocks, surrogate = seen
             assert blocks.tobytes() == surrogate.tobytes() and blocks.size == d.digits[k] + 1
 
@@ -288,7 +305,7 @@ class TestPredictions:
     def test_formula_shape_components(self):
         t = build_table("[0;(100)]", 4)
         d = OstrowskiDigits((0, 0, 40), t)
-        terms = d_k_terms(t, d, 3)
+        terms = d_k_terms(d)
         shape = theorem1_formula_shape(terms)
         # two digits in the near-zero band contribute log(a) each
         assert shape > 2 * math.log(100)
