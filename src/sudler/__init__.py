@@ -31,6 +31,7 @@ from .products import (
     ScanResult,
     b_transfer,
     decompose,
+    decompose_all,
     log_sudler,
     log_sudler_rational,
     log_sudler_shifted,

@@ -20,7 +20,7 @@ from .cotangent import v_k, v_k_main_term, v_k_star
 from .errors import SudlerError
 from .limitfn import DEFAULT_CURVE_BUDGET, crossing_abscissa, empirical_limit, g_alpha, g_alpha_r
 from .ostrowski import decode, encode, epsilon_profile
-from .products import DEFAULT_SCAN_BUDGET, DEFAULT_TOP_M, decompose, scan
+from .products import DEFAULT_SCAN_BUDGET, DEFAULT_TOP_M, decompose, decompose_all, scan
 from .theorems import (
     PredictionReport,
     bernoulli_b2_closed_forms,
@@ -214,15 +214,17 @@ def _suite_constants(args, fixtures) -> list[PredictionReport]:
 
 
 def _suite_decomp(args, fixtures) -> list[PredictionReport]:
+    """decompose_all against the scan for every N < q_K, and per-N decompose against it at a sample."""
     K = min(args.K, 5)
     table = _table(args, K)
-    worst = 0.0
     res = scan(table, K)
-    for N in range(res.q_K):
-        digits = encode(table, N, K=K)
-        total = decompose(digits).total
-        direct = float(res.values[N])
-        worst = max(worst, abs(total - direct) / (1.0 + abs(direct)))
+    tree = decompose_all(table, K)
+    worst = float(np.max(np.abs(tree - res.values) / (1.0 + np.abs(res.values))))
+    rng = np.random.default_rng(args.seed)
+    sample = {res.q_K - 1, res.argmax_N, *map(int, rng.integers(0, res.q_K, size=8))}
+    for N in sorted(sample):
+        total = decompose(encode(table, N, K=K)).total
+        worst = max(worst, abs(total - tree[N]) / (1.0 + abs(tree[N])))
     return [PredictionReport(f"decomposition identity N<q_{K}", 0.0, worst, 1e-9)]
 
 

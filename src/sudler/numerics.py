@@ -76,6 +76,17 @@ def kahan_sum(values) -> float:
     return total + comp
 
 
+def kahan_sum_rows(values: np.ndarray) -> np.ndarray:
+    """kahan_sum of each row of a 2-D array, bit for bit, looping over the columns."""
+    total = np.zeros(len(values))
+    comp = np.zeros(len(values))
+    for v in values.T:
+        t = total + v
+        comp += np.where(np.abs(total) >= np.abs(v), (total - t) + v, (v - t) + total)
+        total = t
+    return total + comp
+
+
 # The cotangent power-sum expansions of `log_sudler_shifted` and `v_k`: a
 # term is far when |cot| max|tan| < 1/_NEAR_T.
 _NEAR_T = 16.0

@@ -115,17 +115,33 @@ def epsilon_profile(digits: OstrowskiDigits) -> dict:
     Keyed by the indices k with b_k >= 1; eps_k is undefined elsewhere.
     """
     t = digits.table
-    K = digits.K
-    with mpmath.workprec(WORKING_BITS + 16):
-        # Suffix accumulation: s_k = sum_{l>k} (-1)^l b_l theta_l.
+    with mpmath.workprec(EPS_BITS):
         eps = {}
         suffix = mpmath.mpf(0)
-        for k in range(K - 1, -1, -1):
+        for k in range(digits.K - 1, -1, -1):
             if digits.digits[k] >= 1:
-                sign = 1 if k % 2 == 0 else -1
-                eps[k] = sign * t.q[k] * suffix
-            suffix += ((-1) ** (k % 2)) * digits.digits[k] * t.theta[k]
+                eps[k] = epsilon_at(t, k, suffix)
+            suffix += suffix_term(t, k, digits.digits[k])
     return eps
+
+
+EPS_BITS = WORKING_BITS + 16  # precision of the suffix sums behind eps_k
+
+
+def suffix_term(table: ConvergentTable, k: int, b: int):
+    """(-1)^k b theta_k, the term of b_k = b in the suffix sums s_j = sum_{l>j} (-1)^l b_l theta_l.
+
+    epsilon_profile and products.decompose_all add the terms from the top
+    digit down and call epsilon_at, both under mpmath.workprec(EPS_BITS),
+    so their eps_k agree bit for bit.
+    """
+    return ((-1) ** (k % 2)) * b * table.theta[k]
+
+
+def epsilon_at(table: ConvergentTable, k: int, suffix):
+    """eps_k = (-1)^k q_k s_k from the suffix sum s_k of the digits above k."""
+    sign = 1 if k % 2 == 0 else -1
+    return sign * table.q[k] * suffix
 
 
 def project(digits: OstrowskiDigits, m: int, B: int) -> OstrowskiDigits:

@@ -17,19 +17,20 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from .cf import ConvergentTable, _residues, _signed_residues
 from .cotangent import _weighted_cot
 from .errors import BudgetError, RangeError, ZeroFactorError
-from .numerics import _NEAR_T, CHUNK, _power_sums, kahan_sum, log_two_sin
-from .ostrowski import OstrowskiDigits, epsilon_profile
+from .numerics import _NEAR_T, CHUNK, _power_sums, kahan_sum, kahan_sum_rows, log_two_sin
+from .ostrowski import EPS_BITS, OstrowskiDigits, epsilon_at, epsilon_profile, suffix_term
 
 DEFAULT_SCAN_BUDGET = 10 ** 7
 DEFAULT_TOP_M = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogProduct:
     """Natural log of a (shifted) Sudler product magnitude.
 
@@ -141,16 +142,21 @@ def _expansion_pays(shifts: list, M: int) -> bool:
 
 
 def _log_sudler_direct(fracs, M: int, shifts, exact: bool) -> list:
-    """G log-sine passes over blocks fracs(lo, hi): logs summed pairwise, block sums compensated."""
-    parts = [[] for _ in shifts]
-    zeros = [0] * len(shifts)
-    for lo in range(1, M + 1, CHUNK):
-        frac = fracs(lo, min(lo + CHUNK, M + 1))
-        for j, s in enumerate(shifts):
-            g, z = _log_factors(frac + s, exact)
-            zeros[j] += z
-            parts[j].append(float(g.sum()))  # np.sum's reduction, without its dispatch
-    return [LogProduct(kahan_sum(p), M, z) for p, z in zip(parts, zeros)]
+    """G log-sine passes over blocks fracs(lo, hi): logs summed pairwise, block sums compensated.
+
+    The shifts of a block go through _shifted_logs in batches, so many shifts
+    of a short block cost one numpy pass.  Each row is summed alone by
+    numpy's pairwise reduction: a shift's result does not depend on its batch.
+    """
+    shifts = np.asarray(shifts, dtype=np.float64)
+    starts = range(1, M + 1, CHUNK)
+    parts = np.empty((len(shifts), len(starts)))
+    zeros = np.zeros(len(shifts), dtype=np.int64)
+    for i, lo in enumerate(starts):
+        for rows, g in _shifted_logs(fracs(lo, min(lo + CHUNK, M + 1)), shifts, exact, zeros):
+            parts[rows, i] = g.sum(axis=1)
+    return [LogProduct(v, M, z)
+            for v, z in zip(kahan_sum_rows(parts).tolist(), zeros.tolist())]
 
 
 def _log_sudler_expanded(table: ConvergentTable, M: int, shifts) -> list:
@@ -204,22 +210,29 @@ def _split_sum(g: np.ndarray) -> tuple:
     return r.sum(axis=-1) / _HI_SCALE, h.sum(axis=-1) / _HI_SCALE
 
 
-def _near_sums(y: np.ndarray, shifts: np.ndarray, exact: bool, zeros: np.ndarray) -> tuple:
-    """Per shift, _split_sum of log|2 sin pi(y + s)| over the near terms y.
+def _shifted_logs(y: np.ndarray, shifts: np.ndarray, exact: bool, zeros: np.ndarray):
+    """Yield (rows, g): g[i] = log|2 sin pi(y + s)| for the shifts s = shifts[rows][i].
 
     Adds each shift's zero factors to `zeros`.  Shifts are batched so that a
     temporary holds at most CHUNK elements (or one shift's row).  sin(pi v)
     is 0.0 in float64 only at v = 0, so a row's zero factors are its zero
     entries after _log_factors.
     """
-    hi = np.empty(len(shifts))
-    lo = np.empty(len(shifts))
     step = max(1, CHUNK // max(1, y.size))
     for i in range(0, len(shifts), step):
         v = shifts[i:i + step, None] + y
-        g, _ = _log_factors(v.ravel(), exact)
-        zeros[i:i + step] += np.count_nonzero(v == 0.0, axis=1)
-        hi[i:i + step], lo[i:i + step] = _split_sum(g.reshape(v.shape))
+        g, z = _log_factors(v.ravel(), exact)
+        if z:
+            zeros[i:i + step] += np.count_nonzero(v == 0.0, axis=1)
+        yield slice(i, i + step), g.reshape(v.shape)
+
+
+def _near_sums(y: np.ndarray, shifts: np.ndarray, exact: bool, zeros: np.ndarray) -> tuple:
+    """Per shift, _split_sum of log|2 sin pi(y + s)| over the near terms y."""
+    hi = np.empty(len(shifts))
+    lo = np.empty(len(shifts))
+    for rows, g in _shifted_logs(y, shifts, exact, zeros):
+        hi[rows], lo[rows] = _split_sum(g)
     return hi, lo
 
 
@@ -274,18 +287,28 @@ def block_args(digits: OstrowskiDigits, k: int, eps) -> np.ndarray:
     b_k = digits.digits[k]
     if b_k < 1:
         return np.empty(0)
-    x = float(digits.table.delta[k]) * np.arange(b_k + 1) + float(eps[k])
-    bad = np.flatnonzero(~((-1.0 < x) & (x < 1.0)))
+    return _block_args(digits.table, k, float(eps[k]), b_k + 1)
+
+
+def _block_args(table: ConvergentTable, k: int, eps, count: int) -> np.ndarray:
+    """x_b for 0 <= b < count: a vector for a float eps_k, a row per entry of a column of them."""
+    x = float(table.delta[k]) * np.arange(count) + eps
+    bad = np.argwhere(~((-1.0 < x) & (x < 1.0)))
     if bad.size:
-        b = int(bad[0])
-        raise AssertionError(f"block argument {x[b]} outside (-1,1) at k={k}, b={b}")
+        at = tuple(bad[0])
+        raise AssertionError(f"block argument {x[at]} outside (-1,1) at k={k}, b={at[-1]}")
     return x
+
+
+def _shifts(table: ConvergentTable, k: int, x: np.ndarray) -> np.ndarray:
+    """The shifts (-1)^k x_b / q_k of the blocks at digit k."""
+    sign = 1 if k % 2 == 0 else -1
+    return sign * x / table.q[k]
 
 
 def block_shifts(digits: OstrowskiDigits, k: int, eps) -> np.ndarray:
     """Shifts (-1)^k x_b / q_k of the b_k length-q_k blocks at digit k (see block_args)."""
-    sign = 1 if k % 2 == 0 else -1
-    return sign * block_args(digits, k, eps)[:-1] / digits.table.q[k]
+    return _shifts(digits.table, k, block_args(digits, k, eps)[:-1])
 
 
 def decompose(digits: OstrowskiDigits) -> Decomposition:
@@ -298,6 +321,45 @@ def decompose(digits: OstrowskiDigits) -> Decomposition:
         factors.extend((k, b, lp.require_nonzero()) for b, lp in enumerate(blocks))
     total = kahan_sum(f for _, _, f in factors)
     return Decomposition(tuple(factors), total)
+
+
+def decompose_all(table: ConvergentTable, K: int) -> np.ndarray:
+    """decompose(encode(table, N, K)).total for every N < q_K, in N order, in one tree walk.
+
+    A node at level k is a valid prefix b_{K-1} .. b_{k+1}, which fixes
+    eps_k (epsilon_profile's suffix sum, once per node) and so the blocks at
+    digit k of every N below it.  Going down from k = K - 1, each level makes
+    one log_sudler_shifted call with the block shifts of all its nodes, and a
+    child b_k adds its node's first b_k block logs to the node's total.  The
+    carry rule leaves a node ending in b_{k+1} = a_{k+2} the one child
+    b_k = 0.  Cost: O(K q_K) floats and O(q_K / a_1) mpmath steps.  The
+    block logs are summed in another order than decompose's, so the totals
+    differ from it by about 1e-15.
+    """
+    if not 1 <= K <= table.K_max:
+        raise RangeError(f"K={K} outside [1, {table.K_max}]")
+    totals = np.zeros(1)
+    suffixes = [mpmath.mpf(0)]  # s_k of each node
+    free = np.ones(1, dtype=bool)  # whether the node's b_k may be nonzero
+    with mpmath.workprec(EPS_BITS):
+        for k in range(K - 1, -1, -1):
+            top = table.a[k + 1] - (k == 0)  # the largest b_k
+            logs = np.zeros((len(totals), top))
+            if top:
+                eps = [float(epsilon_at(table, k, s)) for s, f in zip(suffixes, free) if f]
+                x = _block_args(table, k, np.array(eps)[:, None], top)
+                blocks = log_sudler_shifted(table, table.q[k], _shifts(table, k, x).ravel())
+                logs[free] = np.reshape([lp.require_nonzero() for lp in blocks], x.shape)
+            cum = np.cumsum(np.hstack((np.zeros((len(totals), 1)), logs)), axis=1)
+            counts = np.where(free, top + 1, 1)
+            node = np.repeat(np.arange(len(totals)), counts)
+            digit = np.arange(len(node)) - np.repeat(np.cumsum(counts) - counts, counts)
+            totals = totals[node] + cum[node, digit]
+            if k:
+                terms = [suffix_term(table, k, b) for b in range(top + 1)]
+                suffixes = [suffixes[i] + terms[b] for i, b in zip(node.tolist(), digit.tolist())]
+                free = digit < table.a[k + 1]
+    return totals
 
 
 def b_transfer(table: ConvergentTable, k: int, M: int, x: float) -> float:

@@ -260,6 +260,17 @@ def test_bad_argument_exits_2_without_traceback(argv):
     assert "error:" in proc.stderr
 
 
+@pytest.mark.parametrize("a", [20, 30])
+def test_verify_decomp_large_digits(a, capsys):
+    # q_3 = 8,040 and 27,060: one decompose per N took 5.1 s and about a
+    # minute; the one-pass walk takes well under a second.
+    rc = main(["verify", "--suite", "decomp", "--alpha", f"[0;({a})]", "--K", "3"])
+    out, err = capsys.readouterr()
+    assert rc == 0, out + err
+    assert "Traceback" not in err
+    assert out.startswith("decomposition identity N<q_3:") and "PASS" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["cf", "--alpha", "golden", "--K", "3"],
     ["ostrowski", "--alpha", "golden", "--K", "4", "--N", "3"],
@@ -337,11 +348,13 @@ def test_non_finite_norm_exponent_exits_1(argv, capsys):
 
 # Argument vectors for the fuzz test below.  Digits and K stay small so that
 # every run is quick; integer parts reach past 2^63, where p_k no longer fits
-# int64.
+# int64.  [0;(20)] has q_3 = 8,040 > 4,096, where `verify --suite theorem1`
+# takes its seeded sample (the explicit example below always runs it).
 _INTS = st.integers(-2, 5).map(str) | st.sampled_from(["40", "abc", ""])
 _ALPHAS = st.one_of(
     st.sampled_from(["golden", "[0;2,(1,4)]", "[0;2,3]", "rule:powers-of-two",
-                     "[0;(", "[0;0]", "pi", "[0;1]", "[0;2,1]", "[1;3,4,1]"]),
+                     "[0;(", "[0;0]", "pi", "[0;1]", "[0;2,1]", "[1;3,4,1]",
+                     "[0;(20)]"]),
     st.builds("[{};({})]".format, st.integers(-10 ** 20, 10 ** 20), st.integers(1, 6)),
 )
 _GRIDS = st.sampled_from(["-0.9:0.9:0.45", "0.3:0.3:1", "0:1:0.5", "-1.5:1.5:1.5",
@@ -385,6 +398,8 @@ _ARGVS = st.one_of(
 @given(argv=_ARGVS)
 @example(argv=["cotangent", "--alpha", "[100000000000000;(15)]", "--k", "5",
                "--grid", "0.3:0.3:1"])
+@example(argv=["verify", "--suite", "theorem1", "--alpha", "[0;(20)]", "--K", "3",
+               "--seed", "2"])
 @settings(max_examples=150, deadline=None)
 def test_cli_fuzz_exits_cleanly(argv, tmp_path_factory):
     # Every subcommand, and calibrate's parser (a full calibration takes too

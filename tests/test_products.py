@@ -15,6 +15,7 @@ from sudler import (
     b_transfer,
     build_table,
     decompose,
+    decompose_all,
     empirical_limit,
     encode,
     epsilon_profile,
@@ -25,6 +26,7 @@ from sudler import (
     reflection_rhs,
     scan,
 )
+from sudler import products
 from sudler.cf import WORKING_BITS
 from sudler.numerics import CHUNK, kahan_sum, log_two_sin
 from sudler.products import (
@@ -323,6 +325,100 @@ class TestDecompose:
         t = build_table("[0;2,(1,4)]", 6)
         for N in range(int(t.q[5])):
             decompose(encode(t, N, K=5))  # raises on violation
+
+
+class TestDecomposeAll:
+    """The one-pass walk over the digit tree against one decompose per N."""
+
+    @pytest.mark.parametrize("spec, K", [
+        ("[0;(5)]", 3), ("[0;(7)]", 3), ("[0;(12)]", 3), ("[0;(7,12)]", 3),
+        ("[0;3,(11)]", 3), ("[0;(2,50)]", 3), ("golden", 8),
+    ])
+    def test_matches_decompose_for_every_n(self, spec, K):
+        t = build_table(spec, K)
+        totals = decompose_all(t, K)
+        assert totals.shape == (t.q[K],) and totals.dtype == np.float64
+        for N in range(int(t.q[K])):
+            ref = decompose(encode(t, N, K=K)).total
+            assert abs(totals[N] - ref) <= 1e-14 * (1.0 + abs(ref)), N
+
+    @pytest.mark.parametrize("spec, K", [
+        ("[0;(7)]", 3), ("[0;3,(11)]", 3), ("[0;(2,50)]", 3), ("golden", 8),
+    ])
+    def test_level_shifts_are_block_shifts(self, spec, K, monkeypatch):
+        # One log_sudler_shifted call per level, k = K-1 .. 0, holding a row
+        # of a_{k+1} shifts (a_1 - 1 at k = 0) for each prefix b_{K-1}..b_{k+1}
+        # that allows b_k >= 1, in N order.  The first b_k entries of a row
+        # are block_shifts of each digit vector below it, bit for bit.
+        t = build_table(spec, K)
+        calls = []
+
+        def record(table, M, x):
+            calls.append((M, np.array(x)))
+            return log_sudler_shifted(table, M, x)
+
+        monkeypatch.setattr(products, "log_sudler_shifted", record)
+        decompose_all(t, K)
+        rows = {}
+        for k in range(K - 1, -1, -1):
+            top = t.a[k + 1] - (k == 0)
+            M, shifts = calls.pop(0) if top else (t.q[k], np.empty(0))
+            assert M == t.q[k]
+            rows[k] = shifts.reshape(-1, top) if top else shifts
+        assert not calls
+        nodes = {k: {} for k in range(K)}
+        for N in range(int(t.q[K])):
+            d = encode(t, N, K=K)
+            eps = epsilon_profile(d)
+            for k in eps:
+                node = nodes[k].setdefault(d.digits[k + 1:], len(nodes[k]))
+                expected = block_shifts(d, k, eps)
+                assert rows[k][node, :len(expected)].tobytes() == expected.tobytes(), (N, k)
+        for k in range(K):
+            assert len(rows[k]) == len(nodes[k])
+
+    def test_bad_k(self):
+        t = build_table("[0;(5)]", 3)
+        for K in (0, 4):
+            with pytest.raises(RangeError):
+                decompose_all(t, K)
+
+
+class TestBatchedDirect:
+    """Shifts batched in the direct kernel give each shift's scalar result."""
+
+    @pytest.mark.parametrize("M", [1, 12, 145, 65537])
+    @pytest.mark.parametrize("G", [1, 7, 2000])
+    def test_bit_identical_to_scalar_calls(self, M, G):
+        t = build_table("[0;(12)]", 5)
+        shifts = np.random.default_rng(M + G).uniform(-0.5, 0.5, G)
+        if M * G > 10 ** 7:  # two blocks; the scalar calls take a sample of rows
+            rows = range(0, G, 97)
+        else:
+            rows = range(G)
+        batched = _log_sudler_direct(t.fracs, M, shifts, False)
+        assert len(batched) == G
+        for j in rows:
+            lp = log_sudler_shifted(t, M, float(shifts[j]))
+            assert batched[j] == lp, j
+            # The per-shift loop: each block's logs summed pairwise on their own.
+            parts = [float(np.sum(log_two_sin(t.fracs(lo, min(lo + CHUNK, M + 1)) + shifts[j])[0]))
+                     for lo in range(1, M + 1, CHUNK)]
+            assert lp.log_value == kahan_sum(parts), j
+
+    @pytest.mark.parametrize("M", [12, 145])
+    def test_one_exact_zero_in_a_batch(self, M):
+        # A rational alpha's y_n are exact residues, so s = -y_n puts factor
+        # n of that shift on 0 and no factor of any other shift on an integer.
+        t = build_table("[0;12,12,12,12]", 4)
+        n = M // 2 + 1
+        shifts = np.random.default_rng(M).uniform(-0.5, 0.5, 2000)
+        shifts[777] = -t.fracs(n, n + 1)[0]
+        batched = _log_sudler_direct(t.fracs, M, shifts, True)
+        assert [j for j, lp in enumerate(batched) if lp.zero_factors] == [777]
+        assert batched[777].zero_factors == 1
+        for j in (0, 776, 777, 778, 1999):
+            assert batched[j] == log_sudler_shifted(t, M, float(shifts[j])), j
 
 
 class TestBlockArgs:
