@@ -215,7 +215,7 @@ def _suite_constants(args, fixtures) -> list[PredictionReport]:
 
 def _suite_decomp(args, fixtures) -> list[PredictionReport]:
     """decompose_all against the scan for every N < q_K, and per-N decompose against it at a sample."""
-    K = min(args.K, 5)
+    K = args.K
     table = _table(args, K)
     res = scan(table, K)
     tree = decompose_all(table, K)

@@ -15,7 +15,7 @@ import numpy as np
 from .cf import AlphaSpec, ConvergentTable, build_table, parse_alpha
 from .cotangent import digamma
 from .errors import BudgetError, RangeError, SudlerError
-from .products import log_sudler_shifted
+from .products import log_sudler_shifted, scaled_shift
 
 DEFAULT_CURVE_BUDGET = 10 ** 7
 
@@ -116,11 +116,9 @@ def empirical_limit(table: ConvergentTable, k: int, grid,
     q_k = int(table.q[k])
     if q_k > budget:
         raise BudgetError(f"q_k={q_k} exceeds curve budget {budget}")
-    sign = 1 if k % 2 == 0 else -1
-    grid = np.asarray(grid, dtype=np.float64)
-    lps = log_sudler_shifted(table, q_k, [sign * x / q_k for x in grid])
-    return np.array([0.0 if lp.is_zero else math.exp(lp.log_value) for lp in lps],
-                    dtype=np.float64)
+    lp = log_sudler_shifted(table, q_k, scaled_shift(table, k, np.asarray(grid, dtype=np.float64)))
+    # math.exp: numpy's SIMD exp differs from libm's in the last bit for some inputs
+    return np.where(lp.is_zero, 0.0, [math.exp(v) for v in lp.log_value.tolist()])
 
 
 def crossing_abscissa(grid: np.ndarray, curve: np.ndarray) -> float:

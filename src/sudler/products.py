@@ -32,25 +32,25 @@ DEFAULT_TOP_M = 32
 
 @dataclass(frozen=True, slots=True)
 class LogProduct:
-    """Natural log of a (shifted) Sudler product magnitude.
+    """Natural log of a (shifted) Sudler product magnitude, or of one per shift.
 
-    A vanishing factor is a tagged state: log_value then sums only the
-    nonzero factors so downstream consumers can skip zeros explicitly.
+    For G shifts, log_value and zero_factors are float64 and int64 arrays of
+    length G.  A vanishing factor is a tagged state: log_value then sums
+    only the nonzero factors so downstream consumers can skip zeros explicitly.
     """
 
-    log_value: float
+    log_value: float | np.ndarray
     n_terms: int
-    zero_factors: int = 0
+    zero_factors: int | np.ndarray = 0
 
     @property
-    def is_zero(self) -> bool:
+    def is_zero(self) -> bool | np.ndarray:
         return self.zero_factors > 0
 
-    def require_nonzero(self) -> float:
-        if self.is_zero:
-            raise ZeroFactorError(
-                f"{self.zero_factors} factor(s) vanish in a {self.n_terms}-term product"
-            )
+    def require_nonzero(self) -> float | np.ndarray:
+        zeros = int(np.sum(self.zero_factors))
+        if zeros:
+            raise ZeroFactorError(f"{zeros} factor(s) vanish in the {self.n_terms}-term product(s)")
         return self.log_value
 
 
@@ -64,13 +64,14 @@ def log_sudler(table: ConvergentTable, N: int) -> LogProduct:
     return log_sudler_shifted(table, N, 0.0)
 
 
-def log_sudler_shifted(table: ConvergentTable, M: int, x) -> LogProduct | list:
+def log_sudler_shifted(table: ConvergentTable, M: int, x) -> LogProduct:
     """log prod_{n=1..M} |2 sin(pi (n alpha + s))| for a shift s = x, or each s in x.
 
-    A float x gives one LogProduct, a 1-D sequence a list of them.  The
-    decomposition passes s = (-1)^k x / q_k, a limit curve one such s per grid
-    point.  Each s must be finite and is replaced by s - round(s) on entry,
-    which is exact and leaves |s| <= 1/2 as it is.  Each block n in
+    A float x gives a LogProduct of floats, a 1-D sequence one of arrays
+    (see LogProduct).  The decomposition passes the shifts s = (-1)^k x / q_k
+    of `scaled_shift`, a limit curve one such s per grid point.  Each s must
+    be finite and is replaced by s - rint(s) on entry, which is exact and
+    leaves |s| <= 1/2 as it is (-0.0 becomes 0.0).  Each block n in
     [1 + i*CHUNK, 1 + (i+1)*CHUNK) of `table.fracs` is computed once and
     shared by every shift.
 
@@ -92,18 +93,16 @@ def log_sudler_shifted(table: ConvergentTable, M: int, x) -> LogProduct | list:
     """
     M = int(M)
     _check_range(table, M)
-    scalar = np.ndim(x) == 0
-    shifts = [float(s) for s in ([x] if scalar else x)]
-    if not all(map(math.isfinite, shifts)):
+    shifts = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(shifts)):
         raise RangeError("shifts must be finite")
-    shifts = [math.remainder(s, 1.0) for s in shifts]
-    if scalar:
-        return _log_sudler_direct(table.fracs, M, shifts, table.is_rational)[0]
-    if not shifts:
-        return []
-    if _expansion_pays(shifts, M):
-        return _log_sudler_expanded(table, M, shifts)
-    return _log_sudler_direct(table.fracs, M, shifts, table.is_rational)
+    shifts = np.ravel(shifts - np.rint(shifts))
+    if np.ndim(x) == 0:
+        value, zeros = _log_sudler_direct(table.fracs, M, shifts, table.is_rational)
+        return LogProduct(float(value[0]), M, int(zeros[0]))
+    kernel = _log_sudler_expanded if _expansion_pays(shifts, M) else _log_sudler_direct
+    value, zeros = kernel(table.fracs, M, shifts, table.is_rational)
+    return LogProduct(value, M, zeros)
 
 
 # The cotangent power-sum expansion of the sequence form (log_sudler_shifted).
@@ -111,7 +110,7 @@ _POWERS = 16
 _HI_SCALE = 2.0 ** 20
 
 
-def _expansion_pays(shifts: list, M: int) -> bool:
+def _expansion_pays(shifts: np.ndarray, M: int) -> bool:
     """Whether the expansion is as accurate as, and cheaper than, G direct passes.
 
     Accuracy: the far terms' n_far log|cos pi s|, about M tau^2 / 2, carries
@@ -120,48 +119,50 @@ def _expansion_pays(shifts: list, M: int) -> bool:
     Every limit-curve and Ostrowski-block shift, |s| < 2/q_k, passes.  tau <= 1
     keeps cos pi s >= 1/sqrt(2), where log1p(-sin^2 pi s)/2 is accurate.
 
-    Cost, in units of one direct term (about 18 ns): a direct shift costs
-    M + 670 (12 us of per-block overhead), the expansion 2.5 (M + 4000) for
-    its pass plus, per shift, 200 and its near terms, about
-    M (2/pi) atan(_NEAR_T tau) for equidistributed y_n.  Fitted to both
-    kernels on [0;(15)] for M from 100 to 65536 and G from 1 to 16 (2 CPUs,
-    numpy 2.4): the expansion wins from G = 16 at M = 100, G = 9 at
-    M = 1000, G = 5 at M = 3000 and G = 3 from M = 10^4.
+    Cost, in units of one direct term (about 18 ns): the direct kernel
+    costs G M plus 670 (12 us) per numpy pass of CHUNK // M shifts (one
+    shift from M = CHUNK/2 on), the expansion 2.5 (M + 4000) for its pass
+    plus, per shift, 200 and its near terms, about M (2/pi) atan(_NEAR_T tau)
+    for equidistributed y_n.  Fitted to both kernels on [0;(15)] for M from
+    100 to 65536 and G from 1 to 16, and checked against batched direct
+    passes on [0;(12)] for M from 1 to 32768 and G up to 160,000 (2 CPUs,
+    numpy 2.4).  For shifts |s| <= 1/M the expansion wins from G = 148 at
+    M = 300, G = 16 at M = 1000, G = 7 at M = 3000 and G = 4 from M = 10^4,
+    and never below M = 230.
     """
     G = len(shifts)
+    direct = G * M + 670 * -(-G // max(1, CHUNK // max(1, M)))
 
     def cheaper(near: float) -> bool:
-        return G * (M + 670) > 2.5 * (M + 4000) + G * (200 + near)
+        return direct > 2.5 * (M + 4000) + G * (200 + near)
 
     if not cheaper(0.0):  # most Ostrowski-digit calls stop here
         return False
-    tau = float(np.max(np.abs(np.tan(np.pi * np.asarray(shifts)))))
+    tau = float(np.max(np.abs(np.tan(np.pi * shifts))))
     if not (tau <= 1.0 and M * tau * tau <= 64.0):
         return False
     return cheaper(M * (2.0 / math.pi) * math.atan(_NEAR_T * tau))
 
 
-def _log_sudler_direct(fracs, M: int, shifts, exact: bool) -> list:
+def _log_sudler_direct(fracs, M: int, shifts: np.ndarray, exact: bool) -> tuple:
     """G log-sine passes over blocks fracs(lo, hi): logs summed pairwise, block sums compensated.
 
-    The shifts of a block go through _shifted_logs in batches, so many shifts
-    of a short block cost one numpy pass.  Each row is summed alone by
-    numpy's pairwise reduction: a shift's result does not depend on its batch.
+    Returns the log sums and zero counts per shift.  The shifts of a block
+    go through _shifted_logs in batches, so many shifts of a short block cost
+    one numpy pass.  Each row is summed alone by numpy's pairwise reduction:
+    a shift's result does not depend on its batch.
     """
-    shifts = np.asarray(shifts, dtype=np.float64)
-    starts = range(1, M + 1, CHUNK)
+    starts = range(1, M + 1, CHUNK) if len(shifts) else ()
     parts = np.empty((len(shifts), len(starts)))
     zeros = np.zeros(len(shifts), dtype=np.int64)
     for i, lo in enumerate(starts):
         for rows, g in _shifted_logs(fracs(lo, min(lo + CHUNK, M + 1)), shifts, exact, zeros):
             parts[rows, i] = g.sum(axis=1)
-    return [LogProduct(v, M, z)
-            for v, z in zip(kahan_sum_rows(parts).tolist(), zeros.tolist())]
+    return kahan_sum_rows(parts), zeros
 
 
-def _log_sudler_expanded(table: ConvergentTable, M: int, shifts) -> list:
-    """The sequence form in one pass over the blocks; see log_sudler_shifted."""
-    shifts = np.asarray(shifts, dtype=np.float64)
+def _log_sudler_expanded(fracs, M: int, shifts: np.ndarray, exact: bool) -> tuple:
+    """The sequence form in one pass over the blocks (see log_sudler_shifted), as _log_sudler_direct."""
     t = np.tan(np.pi * shifts)
     tau = float(np.max(np.abs(t)))
     # Per shift, the unshifted far factors plus the shifted near factors, as
@@ -172,13 +173,16 @@ def _log_sudler_expanded(table: ConvergentTable, M: int, shifts) -> list:
     powers = np.zeros(_POWERS)
     n_far = 0
     for start in range(1, M + 1, CHUNK):
-        y = table.fracs(start, min(start + CHUNK, M + 1))
+        y = fracs(start, min(start + CHUNK, M + 1))
         tan_y = np.tan(np.pi * y)
         far = np.abs(tan_y) > _NEAR_T * tau
-        for h, l in (_split_sum(log_two_sin(y[far])[0]),
-                     _near_sums(y[~far], shifts, table.is_rational, zeros)):
-            hi += h
-            lo += l
+        h, l = _split_sum(log_two_sin(y[far])[0])
+        hi += h
+        lo += l
+        for rows, g in _shifted_logs(y[~far], shifts, exact, zeros):
+            h, l = _split_sum(g)
+            hi[rows] += h
+            lo[rows] += l
         u = tau / tan_y[far]
         n_far += u.size
         powers += _power_sums(u, u, _POWERS)
@@ -189,8 +193,7 @@ def _log_sudler_expanded(table: ConvergentTable, M: int, shifts) -> list:
     # log|cos pi s| through log1p: log(cos) is off by up to half an ulp of 1,
     # and n_far such errors add up.
     far_part = (r[:, None] ** j) @ coef + n_far * 0.5 * np.log1p(-sin_s * sin_s)
-    return [LogProduct(kahan_sum((h, l, f)), M, z)
-            for h, l, f, z in zip(hi.tolist(), lo.tolist(), far_part.tolist(), zeros.tolist())]
+    return kahan_sum_rows(np.column_stack((hi, lo, far_part))), zeros
 
 
 def _split_sum(g: np.ndarray) -> tuple:
@@ -227,15 +230,6 @@ def _shifted_logs(y: np.ndarray, shifts: np.ndarray, exact: bool, zeros: np.ndar
         yield slice(i, i + step), g.reshape(v.shape)
 
 
-def _near_sums(y: np.ndarray, shifts: np.ndarray, exact: bool, zeros: np.ndarray) -> tuple:
-    """Per shift, _split_sum of log|2 sin pi(y + s)| over the near terms y."""
-    hi = np.empty(len(shifts))
-    lo = np.empty(len(shifts))
-    for rows, g in _shifted_logs(y, shifts, exact, zeros):
-        hi[rows], lo[rows] = _split_sum(g)
-    return hi, lo
-
-
 def _log_factors(y: np.ndarray, exact: bool) -> tuple[np.ndarray, int]:
     """log_two_sin(y), counting an integer y as a zero factor when `exact`.
 
@@ -256,8 +250,9 @@ def log_sudler_rational(p: int, q: int, N: int, x: float = 0.0) -> LogProduct:
         raise RangeError(f"N={N} outside [0, q={q})")
     P = p % q
     R = _residues(P, q, min(N, CHUNK))
-    return _log_sudler_direct(lambda lo, hi: _signed_residues(P, q, R, lo, hi) / q,
-                              N, [float(x)], True)[0]
+    value, zeros = _log_sudler_direct(lambda lo, hi: _signed_residues(P, q, R, lo, hi) / q,
+                                      N, np.array([float(x)]), True)
+    return LogProduct(float(value[0]), N, int(zeros[0]))
 
 
 def reflection_rhs(q: int, x: float) -> float:
@@ -300,15 +295,14 @@ def _block_args(table: ConvergentTable, k: int, eps, count: int) -> np.ndarray:
     return x
 
 
-def _shifts(table: ConvergentTable, k: int, x: np.ndarray) -> np.ndarray:
-    """The shifts (-1)^k x_b / q_k of the blocks at digit k."""
-    sign = 1 if k % 2 == 0 else -1
-    return sign * x / table.q[k]
+def scaled_shift(table: ConvergentTable, k: int, x):
+    """The shift (-1)^k x / q_k of a length-q_k block at argument x, a float or an array."""
+    return (x if k % 2 == 0 else -x) / table.q[k]
 
 
 def block_shifts(digits: OstrowskiDigits, k: int, eps) -> np.ndarray:
     """Shifts (-1)^k x_b / q_k of the b_k length-q_k blocks at digit k (see block_args)."""
-    return _shifts(digits.table, k, block_args(digits, k, eps)[:-1])
+    return scaled_shift(digits.table, k, block_args(digits, k, eps)[:-1])
 
 
 def decompose(digits: OstrowskiDigits) -> Decomposition:
@@ -318,7 +312,7 @@ def decompose(digits: OstrowskiDigits) -> Decomposition:
     factors = []
     for k in range(digits.K):
         blocks = log_sudler_shifted(table, table.q[k], block_shifts(digits, k, eps))
-        factors.extend((k, b, lp.require_nonzero()) for b, lp in enumerate(blocks))
+        factors.extend((k, b, f) for b, f in enumerate(blocks.require_nonzero().tolist()))
     total = kahan_sum(f for _, _, f in factors)
     return Decomposition(tuple(factors), total)
 
@@ -332,9 +326,9 @@ def decompose_all(table: ConvergentTable, K: int) -> np.ndarray:
     one log_sudler_shifted call with the block shifts of all its nodes, and a
     child b_k adds its node's first b_k block logs to the node's total.  The
     carry rule leaves a node ending in b_{k+1} = a_{k+2} the one child
-    b_k = 0.  Cost: O(K q_K) floats and O(q_K / a_1) mpmath steps.  The
-    block logs are summed in another order than decompose's, so the totals
-    differ from it by about 1e-15.
+    b_k = 0.  Cost: O(q_K / a_1) mpmath steps, and a peak of about 122 bytes
+    per N ([0;(12)], K = 5).  The block logs are summed in another order
+    than decompose's, so the totals differ from it by about 1e-15.
     """
     if not 1 <= K <= table.K_max:
         raise RangeError(f"K={K} outside [1, {table.K_max}]")
@@ -348,8 +342,8 @@ def decompose_all(table: ConvergentTable, K: int) -> np.ndarray:
             if top:
                 eps = [float(epsilon_at(table, k, s)) for s, f in zip(suffixes, free) if f]
                 x = _block_args(table, k, np.array(eps)[:, None], top)
-                blocks = log_sudler_shifted(table, table.q[k], _shifts(table, k, x).ravel())
-                logs[free] = np.reshape([lp.require_nonzero() for lp in blocks], x.shape)
+                blocks = log_sudler_shifted(table, table.q[k], scaled_shift(table, k, x).ravel())
+                logs[free] = blocks.require_nonzero().reshape(x.shape)
             cum = np.cumsum(np.hstack((np.zeros((len(totals), 1)), logs)), axis=1)
             counts = np.where(free, top + 1, 1)
             node = np.repeat(np.arange(len(totals)), counts)
@@ -374,8 +368,7 @@ def b_transfer(table: ConvergentTable, k: int, M: int, x: float) -> float:
         raise RangeError(f"M={M} outside [0, q_k={table.q[k]})")
     if not -1.0 < x < 1.0:
         raise RangeError("x must lie in (-1, 1)")
-    sign = 1 if k % 2 == 0 else -1
-    shift = sign * x / table.q[k]
+    shift = scaled_shift(table, k, x)
     num = log_sudler_shifted(table, M, shift).require_nonzero()
     den = log_sudler_rational(table.p[k] % table.q[k], table.q[k], M, shift)
     return num - den.require_nonzero() - _weighted_cot(table, k, x, M=M)

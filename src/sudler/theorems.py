@@ -207,7 +207,7 @@ def u_n_log(digits: OstrowskiDigits) -> UNValue:
     table = digits.table
     total = sum(u_k_log(digits, k) for k in range(1, digits.K))
     shifts = block_shifts(digits, 0, epsilon_profile(digits))
-    below = sum(lp.require_nonzero() for lp in log_sudler_shifted(table, table.q[0], shifts))
+    below = sum(log_sudler_shifted(table, table.q[0], shifts).require_nonzero().tolist())
     return UNValue(total, below)
 
 
@@ -217,7 +217,7 @@ def e_k_residual(digits: OstrowskiDigits, k: int) -> float:
         return 0.0
     table = digits.table
     shifts = block_shifts(digits, k, epsilon_profile(digits))
-    blocks = sum(lp.require_nonzero() for lp in log_sudler_shifted(table, table.q[k], shifts))
+    blocks = sum(log_sudler_shifted(table, table.q[k], shifts).require_nonzero().tolist())
     return blocks - u_k_log(digits, k)
 
 

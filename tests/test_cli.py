@@ -271,6 +271,14 @@ def test_verify_decomp_large_digits(a, capsys):
     assert out.startswith("decomposition identity N<q_3:") and "PASS" in out
 
 
+def test_verify_decomp_honours_k(capsys):
+    # --K is not capped at 5: golden at K = 9 walks every N < q_9 = 55.
+    rc = main(["verify", "--suite", "decomp", "--alpha", "golden", "--K", "9"])
+    out, err = capsys.readouterr()
+    assert rc == 0, out + err
+    assert out.startswith("decomposition identity N<q_9:") and "PASS" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["cf", "--alpha", "golden", "--K", "3"],
     ["ostrowski", "--alpha", "golden", "--K", "4", "--N", "3"],

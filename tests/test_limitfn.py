@@ -13,8 +13,10 @@ from sudler import (
     g_alpha_r,
     limit_constants,
     log_sudler,
+    log_sudler_shifted,
 )
 from sudler.limitfn import crossing_abscissa
+from sudler.products import scaled_shift
 
 
 class TestLimitConstants:
@@ -180,6 +182,20 @@ class TestEmpirical:
     def test_empty_grid(self):
         emp = empirical_limit(build_table("[0;(5)]", 5), 4, [])
         assert emp.shape == (0,) and emp.dtype == np.float64
+
+    def test_zero_factor_points_read_zero(self):
+        # alpha = p_4/q_4 exactly: x = +-1 puts one factor on an integer, and
+        # every other point is math.exp of its block product
+        t = build_table("[0;15,15,15,15]", 4)
+        q_k = int(t.q[4])
+        xs = [-1.0, -0.3, 0.5, 1.0]
+        emp = empirical_limit(t, 4, xs)
+        lp = log_sudler_shifted(t, q_k, scaled_shift(t, 4, np.array(xs)))
+        assert lp.zero_factors.tolist() == [1, 0, 0, 1]
+        assert emp.tolist() == [0.0, math.exp(lp.log_value[1]), math.exp(lp.log_value[2]), 0.0]
+        for x, e in zip(xs[1:3], emp[1:3]):
+            assert e == pytest.approx(math.exp(log_sudler_shifted(t, q_k, x / q_k).log_value),
+                                      rel=1e-12)
 
     def test_budget_guard(self):
         t = build_table("[0;(50)]", 5)

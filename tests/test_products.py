@@ -35,6 +35,7 @@ from sudler.products import (
     _log_sudler_expanded,
     block_args,
     block_shifts,
+    scaled_shift,
 )
 
 
@@ -84,15 +85,31 @@ class TestDirect:
         M = int(t.q[7])
         shifts = [0.0, -0.3 / M, 0.25, 1e-9]
         batched = log_sudler_shifted(t, M, shifts)
+        assert batched.log_value.dtype == np.float64 and batched.zero_factors.dtype == np.int64
+        assert batched.n_terms == M and batched.zero_factors.tolist() == [0, 0, 0, 0]
         y = t.frac_doubles(M + 1)[1:]
-        for s, b in zip(shifts, batched):
+        for s, b in zip(shifts, batched.log_value):
             lp = log_sudler_shifted(t, M, s)
-            assert abs(b.log_value - lp.log_value) <= 1e-12, s
-            assert (b.n_terms, b.zero_factors) == (M, 0)
+            assert abs(b - lp.log_value) <= 1e-12, s
             parts = [float(np.sum(log_two_sin(y[lo:lo + CHUNK] + s)[0]))
                      for lo in range(0, M, CHUNK)]
             assert lp.log_value == kahan_sum(parts)
-        assert log_sudler_shifted(t, M, []) == []
+        empty = log_sudler_shifted(t, M, [])
+        assert empty.log_value.shape == empty.zero_factors.shape == (0,)
+        assert empty.require_nonzero().shape == (0,)
+
+    def test_sequence_result_is_one_log_product(self):
+        # alpha = p_4/q_4: shift 0 vanishes at n = q_4, 1/q_4 at the n with
+        # n p_4 = -1 (mod q_4), 0.5/q_4 nowhere.  is_zero acts per entry, and
+        # require_nonzero raises with the total count.
+        t = build_table("[0;15,15,15,15]", 4)
+        M = int(t.q[4])
+        lp = log_sudler_shifted(t, M, [0.0, 0.5 / M, 1.0 / M])
+        assert lp.is_zero.tolist() == [True, False, True]
+        with pytest.raises(ZeroFactorError, match="^2 factor"):
+            lp.require_nonzero()
+        ok = log_sudler_shifted(t, M, [0.5 / M, 0.25 / M])
+        assert np.array_equal(ok.require_nonzero(), ok.log_value)
 
     def test_table_holds_no_full_length_array(self):
         t = build_table("[0;(15)]", 5)
@@ -108,22 +125,24 @@ class TestExpansion:
 
     @staticmethod
     def _check(t, M, shifts, bound):
-        expanded = _log_sudler_expanded(t, M, shifts)
-        for s, e in zip(shifts, expanded):
+        value, zeros = _log_sudler_expanded(t.fracs, M, np.asarray(shifts), t.is_rational)
+        assert value.shape == zeros.shape == (len(shifts),)
+        for s, v, z in zip(shifts, value, zeros):
             lp = log_sudler_shifted(t, M, s)
-            assert abs(e.log_value - lp.log_value) <= bound, s
-            assert (e.n_terms, e.zero_factors) == (lp.n_terms, lp.zero_factors), s
-        return expanded
+            assert abs(v - lp.log_value) <= bound, s
+            assert z == lp.zero_factors, s
+        return value, zeros
 
     def test_tiny_shifts(self):
         # a limit-curve call: q_5 = 772,920 (twelve blocks), nine points,
         # about 15 near terms each; the public call takes the expansion
         t = build_table("[0;(15)]", 6)
         M = int(t.q[5])
-        shifts = list(np.linspace(-0.95, 0.95, 9) / M)
+        shifts = np.linspace(-0.95, 0.95, 9) / M
         assert _expansion_pays(shifts, M)
-        expanded = self._check(t, M, shifts, 5e-13)
-        assert log_sudler_shifted(t, M, shifts) == expanded
+        value, zeros = self._check(t, M, shifts, 5e-13)
+        lp = log_sudler_shifted(t, M, shifts)
+        assert np.array_equal(lp.log_value, value) and np.array_equal(lp.zero_factors, zeros)
 
     def test_one_large_shift(self):
         # tau = tan(0.2 pi) makes 95% of the terms near for every shift.  The
@@ -131,15 +150,16 @@ class TestExpansion:
         # carries the rounding of log|cos pi s| n_far times (1.6e-12 at -0.2).
         t = build_table("[0;(15)]", 6)
         M = int(t.q[5])
-        shifts = [1e-7, -0.2, 0.3 / M]
+        shifts = np.array([1e-7, -0.2, 0.3 / M])
         assert not _expansion_pays(shifts, M)
         self._check(t, M, shifts, 2.5e-12)
 
     def test_single_shift_sequence(self):
         t = build_table("[0;(15)]", 6)
         M = int(t.q[5])
-        [lp] = log_sudler_shifted(t, M, [0.4 / M])
-        assert lp == log_sudler_shifted(t, M, 0.4 / M)
+        lp = log_sudler_shifted(t, M, [0.4 / M])
+        one = log_sudler_shifted(t, M, 0.4 / M)
+        assert (lp.log_value.tolist(), lp.zero_factors.tolist()) == ([one.log_value], [0])
         self._check(t, M, [0.4 / M], 5e-13)
         self._check(t, M, [0.0], 5e-13)
 
@@ -152,22 +172,22 @@ class TestExpansion:
         # n*p_6/q_6 + 1/q_6 is an integer for one n <= q_6: exact zero counts
         t = build_table("[0;15,15,15,15,15,15]", 6)
         M = int(t.q[6])
-        shifts = [1.0 / M, 0.3 / M, -1.0 / M]
+        shifts = np.array([1.0 / M, 0.3 / M, -1.0 / M])
         assert _expansion_pays(shifts, M)
         out = log_sudler_shifted(t, M, shifts)
-        assert [lp.zero_factors for lp in out] == [1, 0, 1]
-        for s, e in zip(shifts, out):
+        assert out.zero_factors.tolist() == [1, 0, 1]
+        for s, v, z in zip(shifts, out.log_value, out.zero_factors):
             lp = log_sudler_shifted(t, M, s)
-            assert abs(e.log_value - lp.log_value) <= 1e-12, s
-            assert e.zero_factors == lp.zero_factors
+            assert abs(v - lp.log_value) <= 1e-12, s
+            assert z == lp.zero_factors
         # One period away the shifts are reduced mod 1, exactly: y_n = -1/q_6
         # at n = q_5, and the float -1 + 1/q_6 reduces to 1/q_6 + 3.9e-17, so
         # y_n + s is 3.9e-17, not the -1 that the unreduced sum rounded to,
         # and no factor vanishes, as for the float 1 + 1/q_6.
         Q, M = M, int(t.q[5])
-        shifts = [-1.0 + 1.0 / Q, 1.0 - 0.3 / Q, 1.0 + 1.0 / Q]
+        shifts = np.array([-1.0 + 1.0 / Q, 1.0 - 0.3 / Q, 1.0 + 1.0 / Q])
         assert _expansion_pays(shifts, M)
-        assert [lp.zero_factors for lp in log_sudler_shifted(t, M, shifts)] == [0, 0, 0]
+        assert log_sudler_shifted(t, M, shifts).zero_factors.tolist() == [0, 0, 0]
         assert log_sudler_shifted(t, M, shifts[0]).zero_factors == 0
 
 
@@ -182,10 +202,11 @@ class TestShiftReduction:
         offsets = [s - 1.0 if s > 0 else s + 1.0 for s in shifts]
         scalar = [log_sudler_shifted(t, M, s) for s in shifts]
         assert scalar == [log_sudler_shifted(t, M, s) for s in offsets]
-        assert _expansion_pays(shifts, M)
-        for lp, e in zip(scalar, log_sudler_shifted(t, M, shifts)):
-            assert abs(e.log_value - lp.log_value) <= 1e-12
-            assert e.zero_factors == lp.zero_factors == 0
+        assert _expansion_pays(np.asarray(shifts), M)
+        batched = log_sudler_shifted(t, M, shifts)
+        for lp, v, z in zip(scalar, batched.log_value, batched.zero_factors):
+            assert abs(v - lp.log_value) <= 1e-12
+            assert z == lp.zero_factors == 0
         # unreduced, 1 + 1/q_6 gave -20.764 against -21.681 for the offset
         assert abs(scalar[0].log_value + 21.681) < 1e-3
 
@@ -200,7 +221,21 @@ class TestShiftReduction:
         t = build_table("[0;(15)]", 6)
         M = int(t.q[4])
         for s in (0.5, -0.5, 0.3, -0.0, 1e-300):
-            assert log_sudler_shifted(t, M, s) == _log_sudler_direct(t.fracs, M, [s], False)[0]
+            lp = log_sudler_shifted(t, M, s)
+            value, zeros = _log_sudler_direct(t.fracs, M, np.array([s]), False)
+            assert (lp.log_value, lp.zero_factors) == (value[0], zeros[0])
+
+    def test_sequence_reduces_like_scalar(self):
+        # s - rint(s) on the whole sequence: halves round to even, as
+        # math.remainder does, and each entry is the scalar call's bit for bit
+        t = build_table("[0;(15)]", 6)
+        M = int(t.q[2])
+        shifts = [0.5, -0.5, 1.5, -2.5, 3.0, -0.0, 7 + 1e-9, -4 - 0.3 / M]
+        assert not _expansion_pays(np.asarray(shifts), M)
+        batched = log_sudler_shifted(t, M, shifts)
+        assert batched.log_value.tolist() == [log_sudler_shifted(t, M, s).log_value
+                                              for s in shifts]
+        assert batched.log_value[1] == batched.log_value[2] == batched.log_value[3]
 
 
 class TestRational:
@@ -277,15 +312,15 @@ class TestRational:
         y = t.frac_doubles(M + 1)[1:]
         shifts = [0.0, 1 / M, 0.5 / M]
         lps = log_sudler_shifted(t, M, shifts)
-        assert [lp.zero_factors for lp in lps] == [1, 1, 0]
-        for s, lp in zip(shifts, lps):
+        assert lps.zero_factors.tolist() == [1, 1, 0]
+        for s, v, z in zip(shifts, lps.log_value, lps.zero_factors):
             ys = y + s
             at_int = ys == np.round(ys)
-            assert lp.zero_factors == np.count_nonzero(at_int)
+            assert z == np.count_nonzero(at_int)
             nz = ys[~at_int]
             ref = kahan_sum(float(np.sum(log_two_sin(nz[lo:lo + CHUNK])[0]))
                             for lo in range(0, len(nz), CHUNK))
-            assert abs(lp.log_value - ref) <= 1e-13
+            assert abs(v - ref) <= 1e-13
 
     def test_large_modulus_exact_residues(self):
         # q ~ 2^50 and N = 2^15: n*p overflows int64, the residues must not.
@@ -383,6 +418,34 @@ class TestDecomposeAll:
             with pytest.raises(RangeError):
                 decompose_all(t, K)
 
+    def test_peak_memory_per_n(self):
+        # q_5 = 255,780: the level shifts and block logs are arrays, which
+        # peak at about 122 bytes per N.
+        t = build_table("[0;(12)]", 5)
+        decompose_all(t, 2)  # the table's residue kernel, built once
+        tracemalloc.start()
+        try:
+            decompose_all(t, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 140 * t.q[5]
+
+
+def test_scaled_shift_is_the_one_shift_formula():
+    # (-1)^k x / q_k for a float and for an array, as block_shifts,
+    # decompose_all, empirical_limit and b_transfer form their shifts
+    t = build_table("[0;(15)]", 5)
+    x = np.array([-0.9, 0.0, 0.35, 0.8])
+    for k in (1, 2, 5):
+        expected = [(-1) ** k * v / int(t.q[k]) for v in x.tolist()]
+        assert scaled_shift(t, k, x).tolist() == expected
+        assert scaled_shift(t, k, 0.35) == expected[2]
+    d = encode(t, 1000, K=4)
+    eps = epsilon_profile(d)
+    for k in eps:
+        assert np.array_equal(block_shifts(d, k, eps), scaled_shift(t, k, block_args(d, k, eps)[:-1]))
+
 
 class TestBatchedDirect:
     """Shifts batched in the direct kernel give each shift's scalar result."""
@@ -396,11 +459,11 @@ class TestBatchedDirect:
             rows = range(0, G, 97)
         else:
             rows = range(G)
-        batched = _log_sudler_direct(t.fracs, M, shifts, False)
-        assert len(batched) == G
+        value, zeros = _log_sudler_direct(t.fracs, M, shifts, False)
+        assert value.shape == zeros.shape == (G,)
         for j in rows:
             lp = log_sudler_shifted(t, M, float(shifts[j]))
-            assert batched[j] == lp, j
+            assert (value[j], zeros[j]) == (lp.log_value, lp.zero_factors), j
             # The per-shift loop: each block's logs summed pairwise on their own.
             parts = [float(np.sum(log_two_sin(t.fracs(lo, min(lo + CHUNK, M + 1)) + shifts[j])[0]))
                      for lo in range(1, M + 1, CHUNK)]
@@ -414,11 +477,12 @@ class TestBatchedDirect:
         n = M // 2 + 1
         shifts = np.random.default_rng(M).uniform(-0.5, 0.5, 2000)
         shifts[777] = -t.fracs(n, n + 1)[0]
-        batched = _log_sudler_direct(t.fracs, M, shifts, True)
-        assert [j for j, lp in enumerate(batched) if lp.zero_factors] == [777]
-        assert batched[777].zero_factors == 1
+        value, zeros = _log_sudler_direct(t.fracs, M, shifts, True)
+        assert np.flatnonzero(zeros).tolist() == [777]
+        assert zeros[777] == 1
         for j in (0, 776, 777, 778, 1999):
-            assert batched[j] == log_sudler_shifted(t, M, float(shifts[j])), j
+            lp = log_sudler_shifted(t, M, float(shifts[j]))
+            assert (value[j], zeros[j]) == (lp.log_value, lp.zero_factors), j
 
 
 class TestBlockArgs:
