@@ -8,7 +8,8 @@ summation; many shifts of one block product can instead share one log-sine
 pass through a cotangent power-sum expansion (see `log_sudler_shifted`).  A
 scan takes a sequential cumsum per block and adds the block totals in block
 order; over q_K ~ 1.2e7 indices its values[N] stay within 1e-12 of
-log_sudler (9.3e-13 measured for [0;(15)], K = 6).
+log_sudler (9.3e-13 measured for [0;(15)], K = 6), and a second pass seeds
+the blocks and adds up their c-norm terms.
 """
 
 from __future__ import annotations
@@ -28,6 +29,12 @@ from .ostrowski import EPS_BITS, OstrowskiDigits, epsilon_at, epsilon_profile, s
 
 DEFAULT_SCAN_BUDGET = 10 ** 7
 DEFAULT_TOP_M = 32
+# scan raises its c-norm exponents to this before exp, whose fast path ends
+# near -707.5 (17-190 ns an element below, 1 ns above, on numpy 2.4's AVX512
+# build; the bound is build-specific).  A raised term adds at most e^-707, so
+# q_K <= 1.5e7 of them move a sum >= 1 (the max term is exp(0)) by less than
+# 2^-990; that holds for any floor <= -707.
+_EXP_FLOOR = -707.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,22 +126,21 @@ def _expansion_pays(shifts: np.ndarray, M: int) -> bool:
     Every limit-curve and Ostrowski-block shift, |s| < 2/q_k, passes.  tau <= 1
     keeps cos pi s >= 1/sqrt(2), where log1p(-sin^2 pi s)/2 is accurate.
 
-    Cost, in units of one direct term (about 18 ns): the direct kernel
-    costs G M plus 670 (12 us) per numpy pass of CHUNK // M shifts (one
-    shift from M = CHUNK/2 on), the expansion 2.5 (M + 4000) for its pass
-    plus, per shift, 200 and its near terms, about M (2/pi) atan(_NEAR_T tau)
-    for equidistributed y_n.  Fitted to both kernels on [0;(15)] for M from
-    100 to 65536 and G from 1 to 16, and checked against batched direct
-    passes on [0;(12)] for M from 1 to 32768 and G up to 160,000 (2 CPUs,
-    numpy 2.4).  For shifts |s| <= 1/M the expansion wins from G = 148 at
-    M = 300, G = 16 at M = 1000, G = 7 at M = 3000 and G = 4 from M = 10^4,
-    and never below M = 230.
+    Cost, in units of one direct term (about 11 ns): the direct kernel
+    costs G M plus 670 per numpy pass of CHUNK // M shifts (one shift from
+    M = CHUNK/2 on), the expansion 2.5 (M + 4000) for its pass plus, per
+    shift, 120 and its near terms, about M (2/pi) atan(_NEAR_T tau) for
+    equidistributed y_n.  Fitted to both kernels on [0;(15)] and [0;(12)]
+    for M from 1 to 65536 and G from 1 to 160,000, best of 5 to 9 (2 CPUs,
+    numpy 2.4).  For shifts |s| <= 1/M the expansion wins from G = 203 at
+    M = 200, G = 68 at M = 300, G = 14 at M = 1000 and G = 4 from M = 10^4,
+    and never below M = 150.
     """
     G = len(shifts)
     direct = G * M + 670 * -(-G // max(1, CHUNK // max(1, M)))
 
     def cheaper(near: float) -> bool:
-        return direct > 2.5 * (M + 4000) + G * (200 + near)
+        return direct > 2.5 * (M + 4000) + G * (120 + near)
 
     if not cheaper(0.0):  # most Ostrowski-digit calls stop here
         return False
@@ -400,8 +406,12 @@ def scan(table: ConvergentTable, K: int, c_list=(), parallelism: int = 1,
 
     values[N] is built block by block: a sequential cumsum of the block's
     factor logs, seeded with the in-order running sum of the earlier block
-    totals.  Every reduction then runs over fixed blocks merged in block
-    order, so the result is bit-identical for any parallelism level.
+    totals.  The first pass takes the cumsums; fl(v + s) is monotone in v,
+    so the block peaks give max_log before any block is seeded.  The second
+    seeds each block and adds its c-norm terms, exp of c (log P_N - max_log)
+    raised to _EXP_FLOOR, while the block is in cache.  Every reduction runs
+    over fixed blocks merged in block order, so the result is bit-identical
+    for any parallelism level.
     """
     if not 1 <= K <= table.K_max:
         raise RangeError(f"K={K} outside [1, {table.K_max}]")
@@ -427,25 +437,30 @@ def scan(table: ConvergentTable, K: int, c_list=(), parallelism: int = 1,
         v = values[block]
         np.cumsum(g, out=v)
         cand = np.argpartition(-v, top_m)[:top_m] if top_m < len(v) else range(len(v))
-        return float(v[-1]), [block.start + int(i) for i in cand]
+        return float(v[-1]), float(v.max()), [block.start + int(i) for i in cand]
 
-    def seed(block, s):
+    def finish(block, s):
         v = values[block]
         v += s
-        arg = int(np.argmax(v))
-        return float(v[arg]), block.start + arg
-
-    def norms(block):
-        v = values[block] - max_log
-        return [float(np.sum(np.exp(c * v))) for c in c_list]
+        if not c_list:
+            return []
+        x = v - max_log
+        terms = []
+        for c in c_list:
+            y = x * c
+            np.maximum(y, _EXP_FLOOR, out=y)
+            terms.append(float(np.exp(y, out=y).sum()))
+        return terms
 
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        totals, cands = zip(*pool.map(prefix, blocks))
+        totals, peaks, cands = zip(*pool.map(prefix, blocks))
         seeds = np.concatenate(([0.0], np.cumsum(totals[:-1])))
-        best = list(pool.map(seed, blocks, seeds))
-        # Block order breaks ties toward the lowest N.
-        max_log, argmax_N = max(best, key=lambda b: b[0])
-        parts = list(pool.map(norms, blocks)) if c_list else []
+        peaks = [float(m + s) for m, s in zip(peaks, seeds)]
+        max_log = max(peaks)
+        parts = list(pool.map(finish, blocks, seeds))
+    # The lowest block holding the max, and its first entry: ties go to the lowest N.
+    win = blocks[peaks.index(max_log)]
+    argmax_N = win.start + int(np.argmax(values[win]))
     sums = {c: c * max_log + math.log(math.fsum(p[i] for p in parts))
             for i, c in enumerate(c_list)}
     top = sorted(((n, float(values[n])) for block_cands in cands for n in block_cands),

@@ -554,6 +554,14 @@ class TestBTransfer:
             assert val <= 100.0 / (t.a[k + 1] ** 2 * int(t.q[k]))
 
 
+def _three_pass_norm(values, max_log, c):
+    """log sum_N P_N^c as scan summed it in a pass of its own: exp of every
+    c (log P_N - max_log), per CHUNK-wide block, the block sums added by fsum."""
+    parts = [np.sum(np.exp(c * (values[lo:lo + CHUNK] - max_log)))
+             for lo in range(0, len(values), CHUNK)]
+    return c * max_log + math.log(math.fsum(parts))
+
+
 class TestScan:
     def test_max_matches_values(self):
         t = build_table("[0;(6)]", 5)
@@ -633,10 +641,38 @@ class TestScan:
         assert res.argmax_N == int(np.argmax(vals))
         assert res.max_log == vals[res.argmax_N]
         for c in cs:
-            lse = c * res.max_log + math.log(math.fsum(np.exp(c * (vals - res.max_log))))
-            assert res.sums[c] == pytest.approx(lse, rel=1e-12)
+            assert res.sums[c] == _three_pass_norm(vals, res.max_log, c)
         order = np.argsort(-vals, kind="stable")[:32]
         assert res.top == tuple((int(n), float(vals[n])) for n in order)
+
+    def test_fused_pass_keeps_three_pass_result(self):
+        # q_5 = 772,920 spans twelve blocks; at c >= 64 most exp terms
+        # underflow, which the fused pass raises to _EXP_FLOOR first
+        t = build_table("[0;(15)]", 5)
+        cs = (0.5, 2.0, 64.0, 1024.0)
+        res = scan(t, 5, c_list=cs)
+        assert -(-res.q_K // CHUNK) == 12
+        vals = res.values
+        assert res.max_log == vals.max()
+        assert res.argmax_N == int(np.argmax(vals))
+        for c in cs:
+            assert res.sums[c] == _three_pass_norm(vals, res.max_log, c)
+        assert res.equals_bitwise(scan(t, 5, c_list=cs, parallelism=2))
+
+    def test_ties_go_to_lowest_n(self, monkeypatch):
+        # with every factor's log 0, all q_7 products tie at 1 over six blocks
+        monkeypatch.setattr(products, "log_two_sin", lambda y: (np.zeros(len(y)), 0))
+        res = scan(build_table("[0;(6)]", 7), 7, c_list=(2.0,), parallelism=2)
+        assert (res.argmax_N, res.max_log) == (0, 0.0)
+        assert res.sums[2.0] == math.log(res.q_K)
+
+    def test_result_field_types(self):
+        # an np.float64 max_log would change the repr of everything built on it
+        res = scan(build_table("[0;(15)]", 5), 5, c_list=(0.5, 64.0))
+        assert type(res.max_log) is float
+        assert type(res.argmax_N) is int
+        assert all(type(v) is float for v in res.sums.values())
+        assert res.top and all(type(n) is int and type(v) is float for n, v in res.top)
 
     def test_equals_bitwise_compares_values(self):
         res = scan(build_table("[0;(6)]", 4), 4)
