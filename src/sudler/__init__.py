@@ -17,7 +17,6 @@ from .errors import (
 from .limitfn import LimitConstants, empirical_limit, g_alpha, g_alpha_r, limit_constants
 from .ostrowski import (
     OstrowskiDigits,
-    b_double_star,
     decode,
     delta_T_default,
     encode,

@@ -1,6 +1,10 @@
 """Ostrowski numeration: encode/decode, distinguished digit vectors, epsilon profiles.
 
 Digits are stored least-significant first: digits[k] is the coefficient of q_k.
+eps_k is the exact integer quotient (-1)^k q_k S_k / Q of the table's deep
+convergent P/Q, with S_k the integer suffix sum of the digits above k
+(`tail_term`, `epsilon_numerator`); `epsilon_profile` rounds it once to
+WORKING_BITS and `products.decompose_all` once to float64.
 """
 
 from __future__ import annotations
@@ -94,54 +98,37 @@ def n_star(table: ConvergentTable, K: int) -> OstrowskiDigits:
     return OstrowskiDigits(digits, table)  # floor(5a/6) < a, so always valid
 
 
-def b_double_star(a_next: int, delta_T: float) -> int:
-    """Regularized digit target: 0 when a_{k+1}=2, else floor((1-delta_T) a_{k+1})."""
-    if a_next < 1:
-        raise RangeError("a_next must be >= 1")
-    if not 0.0 < delta_T < 1.0:
-        raise RangeError("delta_T must lie in (0, 1)")
-    if a_next == 2:
-        return 0
-    from fractions import Fraction
-
-    # Read the float through its shortest repr so decimal inputs like 0.01
-    # mean exactly 1/100 when the floor lands on an integer boundary.
-    return int((1 - Fraction(repr(float(delta_T)))) * a_next)
-
-
 def epsilon_profile(digits: OstrowskiDigits) -> dict:
     """Alternating tail sums eps_k = q_k sum_{l>k} (-1)^(k+l) b_l ||q_l alpha||.
 
-    Keyed by the indices k with b_k >= 1; eps_k is undefined elsewhere.
+    Keyed by the indices k with b_k >= 1; eps_k is undefined elsewhere.  Each
+    eps_k is the exact quotient epsilon_numerator / Q rounded once to
+    WORKING_BITS, as `ConvergentTable.frac_part` rounds {n alpha}.
     """
     t = digits.table
-    with mpmath.workprec(EPS_BITS):
-        eps = {}
-        suffix = mpmath.mpf(0)
-        for k in range(digits.K - 1, -1, -1):
-            if digits.digits[k] >= 1:
-                eps[k] = epsilon_at(t, k, suffix)
-            suffix += suffix_term(t, k, digits.digits[k])
+    eps = {}
+    suffix = 0
+    for k in range(digits.K - 1, -1, -1):
+        if digits.digits[k] >= 1:
+            eps[k] = mpmath.fdiv(epsilon_numerator(t, k, suffix), t.deep[1], prec=WORKING_BITS)
+        suffix += tail_term(t, k, digits.digits[k])
     return eps
 
 
-EPS_BITS = WORKING_BITS + 16  # precision of the suffix sums behind eps_k
+def tail_term(table: ConvergentTable, k: int, b: int) -> int:
+    """(-1)^k b T_k, the term of b_k = b in the suffix sums S_j = sum_{l>j} (-1)^l b_l T_l.
 
-
-def suffix_term(table: ConvergentTable, k: int, b: int):
-    """(-1)^k b theta_k, the term of b_k = b in the suffix sums s_j = sum_{l>j} (-1)^l b_l theta_l.
-
-    epsilon_profile and products.decompose_all add the terms from the top
-    digit down and call epsilon_at, both under mpmath.workprec(EPS_BITS),
-    so their eps_k agree bit for bit.
+    T_k = theta_k Q = |q_k P - p_k Q| is an integer for the table's deep
+    convergent P/Q, so every S_j is one too.
     """
-    return ((-1) ** (k % 2)) * b * table.theta[k]
+    P, Q = table.deep
+    T = abs(table.q[k] * P - table.p[k] * Q)
+    return -b * T if k % 2 else b * T
 
 
-def epsilon_at(table: ConvergentTable, k: int, suffix):
-    """eps_k = (-1)^k q_k s_k from the suffix sum s_k of the digits above k."""
-    sign = 1 if k % 2 == 0 else -1
-    return sign * table.q[k] * suffix
+def epsilon_numerator(table: ConvergentTable, k: int, suffix: int) -> int:
+    """(-1)^k q_k S_k, so that eps_k = (-1)^k q_k S_k / Q for the suffix sum S_k above k."""
+    return -table.q[k] * suffix if k % 2 else table.q[k] * suffix
 
 
 def project(digits: OstrowskiDigits, m: int, B: int) -> OstrowskiDigits:

@@ -18,14 +18,13 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .cf import ConvergentTable, _residues, _signed_residues
 from .cotangent import _weighted_cot
 from .errors import BudgetError, RangeError, ZeroFactorError
 from .numerics import _NEAR_T, CHUNK, _power_sums, kahan_sum, kahan_sum_rows, log_two_sin
-from .ostrowski import EPS_BITS, OstrowskiDigits, epsilon_at, epsilon_profile, suffix_term
+from .ostrowski import OstrowskiDigits, epsilon_numerator, epsilon_profile, tail_term
 
 DEFAULT_SCAN_BUDGET = 10 ** 7
 DEFAULT_TOP_M = 32
@@ -327,38 +326,40 @@ def decompose_all(table: ConvergentTable, K: int) -> np.ndarray:
     """decompose(encode(table, N, K)).total for every N < q_K, in N order, in one tree walk.
 
     A node at level k is a valid prefix b_{K-1} .. b_{k+1}, which fixes
-    eps_k (epsilon_profile's suffix sum, once per node) and so the blocks at
-    digit k of every N below it.  Going down from k = K - 1, each level makes
-    one log_sudler_shifted call with the block shifts of all its nodes, and a
-    child b_k adds its node's first b_k block logs to the node's total.  The
-    carry rule leaves a node ending in b_{k+1} = a_{k+2} the one child
-    b_k = 0.  Cost: O(q_K / a_1) mpmath steps, and a peak of about 122 bytes
-    per N ([0;(12)], K = 5).  The block logs are summed in another order
-    than decompose's, so the totals differ from it by about 1e-15.
+    eps_k (the integer suffix sum S_k, once per node, over Q rounded once)
+    and so the blocks at digit k of every N below it.  Going down from
+    k = K - 1, each level makes one log_sudler_shifted call with the block
+    shifts of all its nodes, and a child b_k adds its node's first b_k block
+    logs to the node's total.  The carry rule leaves a node ending in
+    b_{k+1} = a_{k+2} the one child b_k = 0.  Cost: O(q_K / a_1) integer
+    additions, and a peak of about 122 bytes per N ([0;(12)], K = 5) and 129
+    for golden.  The block logs are summed in another order than
+    decompose's, so the totals differ from it by about 1e-15.
     """
     if not 1 <= K <= table.K_max:
         raise RangeError(f"K={K} outside [1, {table.K_max}]")
+    Q = table.deep[1]
     totals = np.zeros(1)
-    suffixes = [mpmath.mpf(0)]  # s_k of each node
+    suffixes = [0]  # the integer S_k of each node
     free = np.ones(1, dtype=bool)  # whether the node's b_k may be nonzero
-    with mpmath.workprec(EPS_BITS):
-        for k in range(K - 1, -1, -1):
-            top = table.a[k + 1] - (k == 0)  # the largest b_k
-            logs = np.zeros((len(totals), top))
-            if top:
-                eps = [float(epsilon_at(table, k, s)) for s, f in zip(suffixes, free) if f]
-                x = _block_args(table, k, np.array(eps)[:, None], top)
-                blocks = log_sudler_shifted(table, table.q[k], scaled_shift(table, k, x).ravel())
-                logs[free] = blocks.require_nonzero().reshape(x.shape)
-            cum = np.cumsum(np.hstack((np.zeros((len(totals), 1)), logs)), axis=1)
-            counts = np.where(free, top + 1, 1)
-            node = np.repeat(np.arange(len(totals)), counts)
-            digit = np.arange(len(node)) - np.repeat(np.cumsum(counts) - counts, counts)
-            totals = totals[node] + cum[node, digit]
-            if k:
-                terms = [suffix_term(table, k, b) for b in range(top + 1)]
+    for k in range(K - 1, -1, -1):
+        top = table.a[k + 1] - (k == 0)  # the largest b_k
+        logs = np.zeros((len(totals), top))
+        if top:
+            eps = [epsilon_numerator(table, k, s) / Q for s, f in zip(suffixes, free) if f]
+            x = _block_args(table, k, np.array(eps)[:, None], top)
+            blocks = log_sudler_shifted(table, table.q[k], scaled_shift(table, k, x).ravel())
+            logs[free] = blocks.require_nonzero().reshape(x.shape)
+        cum = np.cumsum(np.hstack((np.zeros((len(totals), 1)), logs)), axis=1)
+        counts = np.where(free, top + 1, 1)
+        node = np.repeat(np.arange(len(totals)), counts)
+        digit = np.arange(len(node)) - np.repeat(np.cumsum(counts) - counts, counts)
+        totals = totals[node] + cum[node, digit]
+        if k:
+            free = digit < table.a[k + 1]
+            if table.a[k] - (k == 1):  # only a level k - 1 with blocks reads the suffixes
+                terms = [tail_term(table, k, b) for b in range(top + 1)]
                 suffixes = [suffixes[i] + terms[b] for i, b in zip(node.tolist(), digit.tolist())]
-                free = digit < table.a[k + 1]
     return totals
 
 

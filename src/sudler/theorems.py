@@ -78,13 +78,6 @@ def vol41() -> float:
     return 4.0 * math.pi * log_sin_integral(0.0, 5.0 / 6.0)
 
 
-def concavity_ratio(y: float) -> float:
-    """(5/6 - y)^(-2) int_y^{5/6} log|2 sin(pi x)| dx, minimized at y = 0."""
-    if not 0.0 <= y < 5.0 / 6.0:
-        raise RangeError("y must lie in [0, 5/6)")
-    return log_sin_integral(y, 5.0 / 6.0) / (5.0 / 6.0 - y) ** 2
-
-
 # Coefficients of s^-(n+2), n = 0..15, in the series of one period below:
 # (-1)^n (n+1) m_n / 2 = (-1)^n n (n-1) / (12 (n+2) (n+3)), where
 # m_n = int_0^1 t^n B2(t) dt; each is a correctly rounded integer quotient.

@@ -233,7 +233,8 @@ class TestFloatColumns:
     Each of theta_k, delta_k, eta_k, the residue kernel's w and eps_k is a
     signed integer over Q for the exact convergent P/Q of a rational alpha,
     or, up to far below an ulp, for a convergent P/Q with Q >= 2^4096.
-    Python's int / int rounds that quotient correctly.
+    Python's int / int rounds that quotient correctly.  eps_k itself is the
+    same quotient rounded once to WORKING_BITS.
     """
 
     @pytest.mark.parametrize("spec,K", [
@@ -261,7 +262,9 @@ class TestFloatColumns:
             digits = encode(t, int(N), K=K)
             for k, e in epsilon_profile(digits).items():
                 tail = sum(b * signed[l] for l, b in enumerate(digits.digits) if l > k)
-                assert float(e) == (-1) ** k * q[k] * tail / Q, (N, k)
+                numerator = (-1) ** k * q[k] * tail
+                assert float(e) == numerator / Q, (N, k)
+                assert e == mpmath.fdiv(numerator, Q, prec=WORKING_BITS), (N, k)
 
 
 class TestFracPart:

@@ -10,7 +10,6 @@ from sudler import (
     InvalidDigitsError,
     OstrowskiDigits,
     RangeError,
-    b_double_star,
     build_table,
     decode,
     delta_T_default,
@@ -89,12 +88,6 @@ class TestDistinguishedDigits:
     def test_n_star_a50(self):
         t = build_table("[0;(50)]", 5)
         assert n_star(t, 4).digits == (41, 41, 41, 41)
-
-    def test_b_double_star(self):
-        assert b_double_star(2, 0.5) == 0
-        assert b_double_star(2, 0.001) == 0
-        assert b_double_star(100, 0.01) == 99
-        assert b_double_star(1, 0.01) == 0
 
     def test_delta_T_default(self):
         assert delta_T_default(1.0) == 0.01

@@ -419,17 +419,20 @@ class TestDecomposeAll:
                 decompose_all(t, K)
 
     def test_peak_memory_per_n(self):
-        # q_5 = 255,780: the level shifts and block logs are arrays, which
-        # peak at about 122 bytes per N.
-        t = build_table("[0;(12)]", 5)
-        decompose_all(t, 2)  # the table's residue kernel, built once
-        tracemalloc.start()
-        try:
-            decompose_all(t, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 140 * t.q[5]
+        # [0;(12)], q_5 = 255,780: the level shifts and block logs are
+        # arrays, which peak at about 122 bytes per N.  Golden, q_20 = 10,946:
+        # with a_1 = 1 every N has its own level-1 node, whose integer suffix
+        # brings the peak to about 125 bytes per N.
+        for spec, K, per_n in (("[0;(12)]", 5, 140), ("golden", 20, 160)):
+            t = build_table(spec, K)
+            decompose_all(t, 2)  # the table's residue kernel, built once
+            tracemalloc.start()
+            try:
+                decompose_all(t, K)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= per_n * t.q[K], spec
 
 
 def test_scaled_shift_is_the_one_shift_formula():

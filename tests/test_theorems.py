@@ -28,7 +28,6 @@ from sudler.theorems import (
     PredictionReport,
     bernoulli_b2_closed_forms,
     bernoulli_b2_integrals,
-    concavity_ratio,
     d_k_terms,
     e_k_residual,
     log_sin_integral,
@@ -74,12 +73,6 @@ class TestQuadrature:
 
     def test_positive_region(self):
         assert log_sin_integral(1 / 6, 5 / 6) > 0
-
-    def test_concavity_ratio_minimum_at_zero(self):
-        base = concavity_ratio(0.0)
-        assert base == pytest.approx(0.23260748, abs=1e-6)
-        for y in np.arange(0.0, 0.83, 0.02):
-            assert concavity_ratio(float(y)) >= base - 1e-9
 
 
 class TestBernoulliIntegrals:
