@@ -6,6 +6,8 @@ alpha set, applies a fixed safety margin, and freezes the result; the
 verification suites are regression tests against the frozen file, never
 claims about the true constants.  A rerun does not reproduce the frozen file
 bit for bit once the product kernels change; verification reads the file.
+The theorem laws are fitted on the rows of `LAW_FITS`, through the same
+report code (`sudler.cli.LAWS`) that `verify --suite theoremN` runs.
 """
 
 from __future__ import annotations
@@ -23,14 +25,7 @@ from .errors import SudlerError
 from .limitfn import empirical_limit, g_alpha
 from .ostrowski import decode, delta_T_default, encode, n_star
 from .products import b_transfer, log_sudler, scan
-from .theorems import (
-    digit_penalty,
-    e_k_residual,
-    lcnorm_prediction,
-    pnstar_prediction,
-    theorem1_check,
-    u_n_log,
-)
+from .theorems import digit_penalty, e_k_residual, u_n_log
 
 MARGIN = 1.5
 CURVE_BUDGET_OVERRIDE = 15_000_000  # q_6 for [0;(15)] is 1.165e7
@@ -115,49 +110,40 @@ def _limit_curve() -> dict:
     }
 
 
-def _split_budget(max_resid: float, max_ratio: float) -> dict:
+def _split_budget(reports) -> dict:
     # Budget C_cal*shape + C_alpha must dominate every designated residual;
     # half the margined residual is carried by each term.
-    return {
-        "C_cal": 0.5 * MARGIN * max_ratio,
-        "C_alpha": 0.5 * MARGIN * max_resid,
-    }
+    return {"C_cal": 0.5 * MARGIN * max(r.residual / r.error_budget for r in reports),
+            "C_alpha": 0.5 * MARGIN * max(r.residual for r in reports)}
+
+
+def _anchored_fit(reports) -> dict:
+    # Anchor the c-independent constant at the smallest shape sum (the largest
+    # c); the c-dependent constant then covers the small-c residuals.
+    C_alpha = max(MARGIN * min(reports, key=lambda r: r.error_budget).residual, 0.05)
+    C_cal = max(max(0.0, MARGIN * r.residual - C_alpha) / r.error_budget for r in reports)
+    return {"C_cal": max(C_cal, 0.01), "C_alpha": C_alpha}
 
 
 # Unit constants make each report's error_budget exactly its budget shape.
 _UNIT = {"C_cal": 1.0, "C_alpha": 0.0}
 
-
-def _theorem1() -> dict:
-    table = build_table("[0;(10)]", 4)
-    K = 3
-    reports = theorem1_check(table, K, range(int(table.q[K])), {"theorem1": _UNIT})
-    return _split_budget(max(r.residual for r in reports),
-                         max(r.residual / r.error_budget for r in reports))
-
-
-def _theorem2() -> dict:
-    table = build_table("[0;(30)]", 4)
-    K = 3
-    cs = (0.05, 0.5, 1.0, 2.0, 8.0, 64.0)
-    res = scan(table, K, c_list=cs)
-    reports = {c: lcnorm_prediction(table, K, c, {"theorem2": _UNIT}, scan_result=res)
-               for c in cs}
-    # Anchor the c-independent constant at the largest c (where the shape sum
-    # is smallest); the c-dependent constant then covers the small-c residuals.
-    C_alpha = max(MARGIN * reports[max(cs)].residual, 0.05)
-    C_cal = max(
-        max(0.0, MARGIN * r.residual - C_alpha) / r.error_budget
-        for r in reports.values()
-    )
-    return {"C_cal": max(C_cal, 0.01), "C_alpha": C_alpha}
+# The fit rows of the theorem laws: (law, alpha specs, c list, fit rule), each
+# at K = 3 on tables built to 4.
+LAW_FITS = (
+    ("theorem1", ("[0;(10)]",), (), _split_budget),
+    ("theorem2", ("[0;(30)]",), (0.05, 0.5, 1.0, 2.0, 8.0, 64.0), _anchored_fit),
+    ("theorem3", ("[0;(30)]", "[0;(50)]"), (), _split_budget),
+)
 
 
-def _theorem3() -> dict:
-    reports = [pnstar_prediction(build_table(f"[0;({a})]", 4), 3, {"theorem3": _UNIT})
-               for a in (30, 50)]
-    return _split_budget(max(r.residual for r in reports),
-                         max(r.residual / r.error_budget for r in reports))
+def _fit_law(law, specs, c_list, fit) -> dict:
+    # The report code lives in cli, whose names the benchmark's tracer wraps;
+    # cli imports this module for the fixtures, so the import waits until here.
+    from .cli import LAWS
+
+    return fit([r for spec in specs
+                for r in LAWS[law](build_table(spec, 4), 3, {law: _UNIT}, c_list, 0)])
 
 
 def _argmax_distances() -> dict:
@@ -231,9 +217,7 @@ def calibrate(out_path: str | None = None) -> dict:
         "vk_envelope": vk,
         "vk_star_envelope": vk_star,
         "limit_curve": _limit_curve(),
-        "theorem1": _theorem1(),
-        "theorem2": _theorem2(),
-        "theorem3": _theorem3(),
+        **{law: _fit_law(law, *row) for law, *row in LAW_FITS},
         "argmax_digit_distance": _argmax_distances(),
         "b_transfer": _b_transfer(),
         "ek_residual": _ek_residual(),

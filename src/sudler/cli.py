@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__, calibration, serialize
 from .cf import build_table, parse_alpha
 from .cotangent import v_k, v_k_main_term, v_k_star
-from .errors import SudlerError
+from .errors import RationalDepthError, SudlerError
 from .limitfn import DEFAULT_CURVE_BUDGET, crossing_abscissa, empirical_limit, g_alpha, g_alpha_r
 from .ostrowski import decode, encode, epsilon_profile
 from .products import DEFAULT_SCAN_BUDGET, DEFAULT_TOP_M, decompose, decompose_all, scan
@@ -228,27 +228,39 @@ def _suite_decomp(args, fixtures) -> list[PredictionReport]:
     return [PredictionReport(f"decomposition identity N<q_{K}", 0.0, worst, 1e-9)]
 
 
-def _suite_theorem1(args, fixtures) -> list[PredictionReport]:
-    table = _table(args, args.K + 1)
-    q_K = int(table.q[args.K])
-    if q_K <= 4096:
-        sample = range(q_K)
-    else:
-        rng = np.random.default_rng(args.seed)
-        sample = sorted(int(n) for n in rng.integers(0, q_K, size=512))
-    return theorem1_check(table, args.K, sample, fixtures)
+def _theorem1_reports(table, K, fixtures, c_list, seed) -> list[PredictionReport]:
+    """Digit penalty at every N < q_K when q_K <= 4096, else at 512 distinct seeded N."""
+    q_K = int(table.q[K])
+    sample = (range(q_K) if q_K <= 4096 else
+              sorted(int(n) for n in np.random.default_rng(seed).choice(q_K, 512, replace=False)))
+    return theorem1_check(table, K, sample, fixtures)
 
 
-def _suite_theorem2(args, fixtures) -> list[PredictionReport]:
-    table = _table(args, args.K + 1)
-    cs = args.c or (0.5, 2.0, 64.0)
-    res = scan(table, args.K, c_list=cs)
-    return [lcnorm_prediction(table, args.K, c, fixtures, scan_result=res) for c in cs]
+def _theorem2_reports(table, K, fixtures, c_list, seed) -> list[PredictionReport]:
+    cs = c_list or (0.5, 2.0, 64.0)
+    res = scan(table, K, c_list=cs)
+    return [lcnorm_prediction(table, K, c, fixtures, scan_result=res) for c in cs]
 
 
-def _suite_theorem3(args, fixtures) -> list[PredictionReport]:
-    table = _table(args, args.K + 1)
-    return [pnstar_prediction(table, args.K, fixtures)]
+def _theorem3_reports(table, K, fixtures, c_list, seed) -> list[PredictionReport]:
+    return [pnstar_prediction(table, K, fixtures)]
+
+
+# The report code of each theorem law, on a table built to K + 1: `verify` runs
+# it on one alpha, and `calibration.calibrate` fits the law's constants to it.
+LAWS = {
+    "theorem1": _theorem1_reports,
+    "theorem2": _theorem2_reports,
+    "theorem3": _theorem3_reports,
+}
+
+
+def _law_table(args):
+    try:
+        return _table(args, args.K + 1)
+    except RationalDepthError as exc:
+        raise RationalDepthError(
+            f"{exc}; the theorem suites build the table to K + 1 = {args.K + 1}") from None
 
 
 def _suite_limits(args, fixtures) -> list[PredictionReport]:
@@ -271,16 +283,18 @@ def _suite_limits(args, fixtures) -> list[PredictionReport]:
 SUITES = {
     "constants": _suite_constants,
     "decomp": _suite_decomp,
-    "theorem1": _suite_theorem1,
-    "theorem2": _suite_theorem2,
-    "theorem3": _suite_theorem3,
     "limits": _suite_limits,
 }
+# Suites that read neither --alpha nor --K; their JSON records null for both.
+FIXED_SUITES = ("constants", "limits")
 
 
 def cmd_verify(args) -> int:
     fixtures = calibration.load_fixtures(args.fixtures)
-    reports = SUITES[args.suite](args, fixtures)
+    if args.suite in LAWS:
+        reports = LAWS[args.suite](_law_table(args), args.K, fixtures, args.c, args.seed)
+    else:
+        reports = SUITES[args.suite](args, fixtures)
     ok = all(r.passed for r in reports)
     for r in reports:
         tag = "PASS" if r.passed else "FAIL"
@@ -290,8 +304,8 @@ def cmd_verify(args) -> int:
         serialize.dump_json({
             "schema_version": serialize.SCHEMA_VERSION,
             "suite": args.suite,
-            "alpha": args.alpha,
-            "K": args.K,
+            "alpha": None if args.suite in FIXED_SUITES else args.alpha,
+            "K": None if args.suite in FIXED_SUITES else args.K,
             "pass": ok,
             "reports": [
                 {k: (serialize.float_to_hex(v) if isinstance(v, float) else v)
@@ -358,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("verify", help="run a verification suite against fixtures")
     _add_alpha(s, "[0;(10)]")
-    s.add_argument("--suite", choices=SUITES, required=True)
+    s.add_argument("--suite", choices=(*SUITES, *LAWS), required=True)
     s.add_argument("--K", type=int, default=3)
     s.add_argument("--c", type=_parse_c_list, default="",
                    help="comma-separated norm exponents")

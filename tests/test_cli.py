@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import sudler
 from sudler import calibration
 from sudler.calibration import load_fixtures, save_fixtures
-from sudler.cli import SUITES, _parse_grid, main
+from sudler.cli import LAWS, SUITES, _parse_grid, main
 from sudler.serialize import load_json, table_from_dict, table_to_dict
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(sudler.__file__)))
@@ -172,10 +172,20 @@ def test_fixture_serialization_deterministic(tmp_path):
 
 def test_calibration_entries_deterministic():
     # component calibrations are pure; two runs agree exactly
-    from sudler.calibration import _dk_main_slack, _theorem3
+    from sudler.calibration import LAW_FITS, _dk_main_slack, _fit_law
 
     assert _dk_main_slack() == _dk_main_slack()
-    assert _theorem3() == _theorem3()
+    theorem3 = next(row for row in LAW_FITS if row[0] == "theorem3")
+    assert _fit_law(*theorem3) == _fit_law(*theorem3)
+
+
+def test_calibrated_theorem_constants_match_fixtures(fixtures):
+    # calibrate() fits each law through the report code that verify runs; its
+    # theorem constants stay close to the frozen ones.
+    fitted = calibration.calibrate()
+    for law in ("theorem1", "theorem2", "theorem3"):
+        for name, value in fixtures[law].items():
+            assert fitted[law][name] == pytest.approx(value, rel=1e-8), (law, name)
 
 
 def test_fixture_schema(fixtures):
@@ -200,6 +210,24 @@ def test_rational_depth_error_exits_1(capsys):
     assert "convergent" in capsys.readouterr().err
 
 
+def test_theorem_suite_rational_depth_names_k_plus_1(capsys):
+    # [0;2,3] has convergents to k = 2; the theorem suites need one more.
+    assert main(["verify", "--suite", "theorem1", "--alpha", "[0;2,3]", "--K", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "only up to k=2; the theorem suites build the table to K + 1 = 3" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec, K, seed", [("[0;(10)]", "4", "0"), ("[0;(7)]", "5", "3")])
+def test_theorem1_samples_distinct_n(capsys, spec, K, seed):
+    # Above q_K = 4096 the suite checks 512 seeded N, each once.
+    assert main(["verify", "--suite", "theorem1", "--alpha", spec, "--K", K,
+                 "--seed", seed]) == 0
+    labels = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("N=")]
+    assert len(labels) == len(set(labels)) == 512
+
+
 def test_theorem3_beyond_scan_budget_exits_1(capsys):
     # N* = 979,960,269,728 at K = 12: refused before the direct product.
     assert main(["verify", "--suite", "theorem3", "--alpha", "[0;(10)]", "--K", "12"]) == 1
@@ -216,6 +244,17 @@ def test_verify_report_json(tmp_path):
     assert doc["pass"] is True
     assert len(doc["reports"]) == 3
     assert all(r["pass"] for r in doc["reports"])
+    assert (doc["alpha"], doc["K"]) == ("[0;(30)]", 3)
+
+
+@pytest.mark.parametrize("suite", ["constants", "limits"])
+def test_verify_report_json_fixed_suites_record_no_alpha(tmp_path, suite):
+    # These suites read neither --alpha nor --K, so the report records neither.
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", suite, "--alpha", "[0;(7)]", "--K", "2",
+                 "--out", str(out)]) == 0
+    doc = load_json(str(out))
+    assert (doc["suite"], doc["alpha"], doc["K"]) == (suite, None, None)
 
 
 @pytest.mark.parametrize("text, count, last", [
@@ -396,7 +435,7 @@ _ARGVS = st.one_of(
     _argv(st.just("figures"), st.just("--which"),
           st.sampled_from(["fig1", "fig2", "fig3", "fig4"]), st.just("--grid"), _GRIDS),
     _argv(st.just("verify"), _COMMON, st.just("--suite"),
-          st.sampled_from(tuple(SUITES) + ("nope",)), st.just("--K"), st.integers(-1, 3),
+          st.sampled_from((*SUITES, *LAWS, "nope")), st.just("--K"), st.integers(-1, 3),
           _opt("--c", st.sampled_from(["2", "-1", "abc", "nan", "inf"])),
           _opt("--seed", st.integers(-3, 3))),
     st.sampled_from([[], ["--version"], ["calibrate", "--out"], ["calibrate", "--bogus"]]),
