@@ -28,7 +28,6 @@ from .products import (
     Decomposition,
     LogProduct,
     ScanResult,
-    b_transfer,
     decompose,
     decompose_all,
     log_sudler,

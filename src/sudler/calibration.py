@@ -23,9 +23,9 @@ from .cf import build_table
 from .cotangent import digamma, v_k, v_k_star
 from .errors import SudlerError
 from .limitfn import empirical_limit, g_alpha
-from .ostrowski import decode, delta_T_default, encode, n_star
-from .products import b_transfer, log_sudler, scan
-from .theorems import digit_penalty, e_k_residual, u_n_log
+from .ostrowski import delta_T_default, encode
+from .products import log_sudler
+from .theorems import u_n_log
 
 MARGIN = 1.5
 CURVE_BUDGET_OVERRIDE = 15_000_000  # q_6 for [0;(15)] is 1.165e7
@@ -103,11 +103,7 @@ def _limit_curve() -> dict:
     sup4 = float(np.max(np.abs(empirical_limit(table, 4, grid) - closed)))
     curve6 = empirical_limit(table, 6, grid, budget=CURVE_BUDGET_OVERRIDE)
     sup6 = float(np.max(np.abs(curve6 - closed)))
-    return {
-        "a15_k4_sup": sup4 * 1.3,
-        "a15_k6_sup": sup6 * 1.3,
-        "fig3_residual_max": sup4 * 1.3,
-    }
+    return {"a15_k4_sup": sup4 * 1.3, "a15_k6_sup": sup6 * 1.3}
 
 
 def _split_budget(reports) -> dict:
@@ -146,41 +142,6 @@ def _fit_law(law, specs, c_list, fit) -> dict:
                 for r in LAWS[law](build_table(spec, 4), 3, {law: _UNIT}, c_list, 0)])
 
 
-def _argmax_distances() -> dict:
-    out = {}
-    for a in (10, 20, 50):
-        table = build_table(f"[0;({a})]", 4)
-        K = 3
-        res = scan(table, K)
-        best = encode(table, res.argmax_N, K=K)
-        star = n_star(table, K)
-        out[str(a)] = max(
-            abs(b - bs) for b, bs in zip(best.digits, star.digits)
-        )
-    return out
-
-
-def _b_transfer() -> dict:
-    table = build_table("[0;(15)]", 6)
-    val = abs(b_transfer(table, 5, int(table.q[5]) - 1, 0.3))
-    return {"max_abs": max(val * 1.3, 1e-9)}
-
-
-def _ek_residual() -> dict:
-    worst = 0.01
-    for spec, K in (("[0;(10)]", 3), ("[0;(30)]", 3)):
-        table = build_table(spec, K + 1)
-        probes = [decode(n_star(table, K)), int(table.q[K]) - 1, int(table.q[K]) // 2]
-        for N in probes:
-            digits = encode(table, N, K=K)
-            for k in range(1, K):
-                if digits.digits[k] < 1:
-                    continue
-                e = e_k_residual(digits, k)
-                worst = max(worst, e * table.a[k + 1] * int(table.q[k]))
-    return {"C": worst * MARGIN}
-
-
 def _un_residual() -> dict:
     table = build_table("[0;(20)]", 5)
     K = 4
@@ -200,15 +161,6 @@ def _un_residual() -> dict:
     return {"lo": lo - pad, "hi": hi + pad}
 
 
-def _dk_main_slack() -> dict:
-    worst = 0.0
-    for a in (10, 15, 30, 50):
-        for b in range(a + 1):
-            term = digit_penalty(0, a, b)
-            worst = max(worst, term.lower - term.main)
-    return {"slack": worst * 1.2 + 0.01}
-
-
 def calibrate(out_path: str | None = None) -> dict:
     """Compute all frozen constants from the current kernels."""
     vk, vk_star = _vk_envelopes()
@@ -218,11 +170,7 @@ def calibrate(out_path: str | None = None) -> dict:
         "vk_star_envelope": vk_star,
         "limit_curve": _limit_curve(),
         **{law: _fit_law(law, *row) for law, *row in LAW_FITS},
-        "argmax_digit_distance": _argmax_distances(),
-        "b_transfer": _b_transfer(),
-        "ek_residual": _ek_residual(),
         "un_residual": _un_residual(),
-        "dk_main_slack": _dk_main_slack(),
     }
     if out_path is not None:
         save_fixtures(fixtures, out_path)

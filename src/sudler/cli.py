@@ -230,10 +230,11 @@ def _suite_decomp(args, fixtures) -> list[PredictionReport]:
 
 def _theorem1_reports(table, K, fixtures, c_list, seed) -> list[PredictionReport]:
     """Digit penalty at every N < q_K when q_K <= 4096, else at 512 distinct seeded N."""
-    q_K = int(table.q[K])
+    values = scan(table, K).values  # checks the scan budget before anything is sampled
+    q_K = len(values)
     sample = (range(q_K) if q_K <= 4096 else
               sorted(int(n) for n in np.random.default_rng(seed).choice(q_K, 512, replace=False)))
-    return theorem1_check(table, K, sample, fixtures)
+    return theorem1_check(table, K, sample, fixtures, values=values)
 
 
 def _theorem2_reports(table, K, fixtures, c_list, seed) -> list[PredictionReport]:

@@ -53,11 +53,11 @@ def vasyunin(p: int, q: int, x: float = 0.0, parity_sign: int = 1) -> float:
     return _cot_sum(p, q, parity_sign * float(x), q - 1, lambda n: n / q)
 
 
-def _weighted_cot(table: ConvergentTable, k: int, x, exclude: tuple = (), M: int | None = None):
-    """sum_{n<=M} sin(pi n theta_k/q_k) cot(pi (n (-1)^k p_k + x)/q_k); M = q_k - 1 by default."""
+def _weighted_cot(table: ConvergentTable, k: int, x, exclude: tuple = ()):
+    """sum_{n<q_k} sin(pi n theta_k/q_k) cot(pi (n (-1)^k p_k + x)/q_k)."""
     q_k = int(table.q[k])
     theta_over_q = float(table.theta[k]) / q_k
-    return _cot_sum((-1) ** k * table.p[k], q_k, x, q_k - 1 if M is None else int(M),
+    return _cot_sum((-1) ** k * table.p[k], q_k, x, q_k - 1,
                     lambda n: np.sin(np.pi * n * theta_over_q), exclude)
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cf import ConvergentTable, _residues, _signed_residues
-from .cotangent import _weighted_cot
 from .errors import BudgetError, RangeError, ZeroFactorError
 from .numerics import _NEAR_T, CHUNK, _power_sums, kahan_sum, kahan_sum_rows, log_two_sin
 from .ostrowski import OstrowskiDigits, epsilon_numerator, epsilon_profile, tail_term
@@ -361,24 +360,6 @@ def decompose_all(table: ConvergentTable, K: int) -> np.ndarray:
                 terms = [tail_term(table, k, b) for b in range(top + 1)]
                 suffixes = [suffixes[i] + terms[b] for i, b in zip(node.tolist(), digit.tolist())]
     return totals
-
-
-def b_transfer(table: ConvergentTable, k: int, M: int, x: float) -> float:
-    """Transfer defect between the product at alpha and at p_k/q_k.
-
-    log(P_M(alpha, s)/P_M(p_k/q_k, s)) minus the partial sine-weighted
-    cotangent sum to M, with s = (-1)^k x / q_k.
-    """
-    if not 1 <= k <= table.K_max:
-        raise RangeError(f"k={k} outside [1, {table.K_max}]")
-    if not 0 <= M < table.q[k]:
-        raise RangeError(f"M={M} outside [0, q_k={table.q[k]})")
-    if not -1.0 < x < 1.0:
-        raise RangeError("x must lie in (-1, 1)")
-    shift = scaled_shift(table, k, x)
-    num = log_sudler_shifted(table, M, shift).require_nonzero()
-    den = log_sudler_rational(table.p[k] % table.q[k], table.q[k], M, shift)
-    return num - den.require_nonzero() - _weighted_cot(table, k, x, M=M)
 
 
 @dataclass(frozen=True)

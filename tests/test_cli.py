@@ -151,7 +151,7 @@ def test_figures_fig3_residual_column(tmp_path, fixtures):
     lines = (tmp_path / "fig3.csv").read_text().splitlines()
     assert lines[1] == "x,empirical,closed_form,residual"
     resids = [abs(float(row.split(",")[3])) for row in lines[2:]]
-    assert max(resids) <= fixtures["limit_curve"]["fig3_residual_max"]
+    assert max(resids) <= fixtures["limit_curve"]["a15_k4_sup"]
 
 
 def test_missing_fixtures_directs_to_calibrate(capsys, tmp_path):
@@ -172,17 +172,22 @@ def test_fixture_serialization_deterministic(tmp_path):
 
 def test_calibration_entries_deterministic():
     # component calibrations are pure; two runs agree exactly
-    from sudler.calibration import LAW_FITS, _dk_main_slack, _fit_law
+    from sudler.calibration import LAW_FITS, _fit_law, _vk_envelopes
 
-    assert _dk_main_slack() == _dk_main_slack()
+    assert _vk_envelopes() == _vk_envelopes()
     theorem3 = next(row for row in LAW_FITS if row[0] == "theorem3")
     assert _fit_law(*theorem3) == _fit_law(*theorem3)
 
 
 def test_calibrated_theorem_constants_match_fixtures(fixtures):
     # calibrate() fits each law through the report code that verify runs; its
-    # theorem constants stay close to the frozen ones.
+    # theorem constants stay close to the frozen ones, and it writes exactly
+    # the file's groups and keys.
     fitted = calibration.calibrate()
+    assert fitted.keys() == fixtures.keys()
+    for group, entries in fixtures.items():
+        if isinstance(entries, dict):
+            assert fitted[group].keys() == entries.keys(), group
     for law in ("theorem1", "theorem2", "theorem3"):
         for name, value in fixtures[law].items():
             assert fitted[law][name] == pytest.approx(value, rel=1e-8), (law, name)
@@ -190,8 +195,7 @@ def test_calibrated_theorem_constants_match_fixtures(fixtures):
 
 def test_fixture_schema(fixtures):
     for key in ("vk_envelope", "vk_star_envelope", "limit_curve", "theorem1",
-                "theorem2", "theorem3", "argmax_digit_distance", "b_transfer",
-                "ek_residual", "un_residual", "dk_main_slack"):
+                "theorem2", "theorem3", "un_residual"):
         assert key in fixtures
 
 
@@ -226,6 +230,13 @@ def test_theorem1_samples_distinct_n(capsys, spec, K, seed):
     labels = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
               if line.startswith("N=")]
     assert len(labels) == len(set(labels)) == 512
+
+
+def test_theorem1_beyond_scan_budget_exits_1(capsys):
+    # q_25 > 2^63: refused by the scan's budget check before any N is sampled.
+    assert main(["verify", "--suite", "theorem1", "--alpha", "[0;(10)]", "--K", "25"]) == 1
+    err = capsys.readouterr().err
+    assert "exceeds scan budget 10000000" in err and "Traceback" not in err
 
 
 def test_theorem3_beyond_scan_budget_exits_1(capsys):

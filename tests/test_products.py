@@ -12,7 +12,6 @@ from sudler import (
     OstrowskiDigits,
     RangeError,
     ZeroFactorError,
-    b_transfer,
     build_table,
     decompose,
     decompose_all,
@@ -25,6 +24,7 @@ from sudler import (
     n_star,
     reflection_rhs,
     scan,
+    v_k,
 )
 from sudler import products
 from sudler.cf import WORKING_BITS
@@ -245,7 +245,7 @@ class TestRational:
         tracemalloc.start()
         try:
             log_sudler_rational(t.p[5] % q, q, q - 1)
-            b_transfer(t, 5, q - 1, 0.3)
+            v_k(t, 5, 0.3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -331,6 +331,14 @@ class TestRational:
         r[2 * r >= q] -= q
         lp = log_sudler_rational(p, q, N, 0.1)
         assert lp.log_value == float(np.sum(log_two_sin(r / q + 0.1)[0]))
+
+    def test_too_deep_raises(self):
+        # q_95 of the golden ratio exceeds 2^62, the limit of exact residues
+        t = build_table("golden", 100)
+        q = int(t.q[95])
+        assert q >= 2 ** 62
+        with pytest.raises(RangeError):
+            log_sudler_rational(int(t.p[95]) % q, q, 5)
 
 
 class TestDecompose:
@@ -437,7 +445,7 @@ class TestDecomposeAll:
 
 def test_scaled_shift_is_the_one_shift_formula():
     # (-1)^k x / q_k for a float and for an array, as block_shifts,
-    # decompose_all, empirical_limit and b_transfer form their shifts
+    # decompose_all and empirical_limit form their shifts
     t = build_table("[0;(15)]", 5)
     x = np.array([-0.9, 0.0, 0.35, 0.8])
     for k in (1, 2, 5):
@@ -531,30 +539,6 @@ class TestBlockArgs:
         # eps_1 = -q_1 (b_2 theta_2 - ...) = 0: the digits above index 1 are 0.
         with pytest.raises(AssertionError, match=r"outside \(-1,1\) at k=1, b=11"):
             block_args(d, 1, {1: 0.0})
-
-
-class TestBTransfer:
-    def test_empty(self, tables):
-        assert b_transfer(tables["[0;(5)]"], 2, 0, 0.3) == 0.0
-
-    def test_within_frozen_envelope(self, fixtures):
-        t = build_table("[0;(15)]", 6)
-        val = b_transfer(t, 5, int(t.q[5]) - 1, 0.3)
-        assert abs(val) <= fixtures["b_transfer"]["max_abs"]
-
-    def test_too_deep_raises(self):
-        # q_95 of the golden ratio exceeds 2^62, the limit of exact residues
-        t = build_table("golden", 100)
-        assert t.q[95] >= 2 ** 62
-        with pytest.raises(RangeError):
-            b_transfer(t, 95, 5, 0.3)
-
-    def test_upper_bound_shape(self):
-        # one-sided bound: B <= C / (a_{k+1}^2 q_k) with a modest C
-        t = build_table("[0;(15)]", 6)
-        for k, x in ((4, 0.0), (4, 0.5), (5, 0.3)):
-            val = b_transfer(t, k, int(t.q[k]) - 1, x)
-            assert val <= 100.0 / (t.a[k + 1] ** 2 * int(t.q[k]))
 
 
 def _three_pass_norm(values, max_log, c):

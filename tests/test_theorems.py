@@ -20,7 +20,6 @@ from sudler import (
 from sudler import products, theorems
 from sudler.ostrowski import OstrowskiDigits, delta_T_default
 from sudler.theorems import (
-    PENALTY_LOWER_CONSTANT,
     QUADRATIC_CONSTANT,
     REGIME_FORMULA,
     REGIME_OUT,
@@ -29,6 +28,7 @@ from sudler.theorems import (
     bernoulli_b2_closed_forms,
     bernoulli_b2_integrals,
     d_k_terms,
+    digit_penalty,
     e_k_residual,
     log_sin_integral,
     quadratic_slope_estimate,
@@ -127,17 +127,18 @@ class TestDkTerms:
             50 * log_sin_integral(0.0, 41.0 / 50.0), rel=1e-12
         )
 
-    def test_lower_bound_with_slack(self, fixtures):
-        slack = fixtures["dk_main_slack"]["slack"]
-        for a in (10, 30, 50):
-            t = build_table(f"[0;({a})]", 4)
-            b_star = (5 * a) // 6
+    def test_lower_bound_with_slack(self):
+        # The integral formula dominates the quadratic lower bound at every
+        # in-regime digit but one: b = b* + 1 when 5a/6 is not an integer.
+        # There b* = floor(5a/6) lies below the integrand's zero at 5a/6, so
+        # the integral from b* to b* + 1 partly cancels.
+        for a in range(3, 301):
+            peak_is_digit = 5 * a % 6 == 0
             for b in range(a):
-                d = OstrowskiDigits((0, b, 0), t)
-                term = d_k_terms(d)[1]
-                lower = PENALTY_LOWER_CONSTANT * (b - b_star) ** 2 / a
-                if term.regime != REGIME_OUT:
-                    assert term.main >= lower - slack
+                term = digit_penalty(0, a, b)
+                if term.regime == REGIME_OUT or (b == term.b_star + 1 and not peak_is_digit):
+                    continue
+                assert term.main >= term.lower, (a, b)
 
     def test_regimes(self):
         t = build_table("[0;(100)]", 4)
@@ -180,14 +181,16 @@ class TestBlockSurrogate:
             checked += 1
         assert checked >= 10
 
-    def test_ek_residual_upper_bound(self, fixtures):
-        C = fixtures["ek_residual"]["C"]
+    def test_ek_residual_upper_bound(self):
+        # The block surrogate overshoots the block products: E_k < 0, at
+        # N*, q_K - 1 and q_K // 2, on every level with a nonzero digit.
         for spec in ("[0;(10)]", "[0;(30)]"):
             t = build_table(spec, 4)
-            d = n_star(t, 3)
-            for k in (1, 2):
-                e = e_k_residual(d, k)
-                assert e <= C / (t.a[k + 1] * int(t.q[k]))
+            for N in (decode(n_star(t, 3)), int(t.q[3]) - 1, int(t.q[3]) // 2):
+                d = encode(t, N, K=3)
+                for k in (1, 2):
+                    if d.digits[k]:
+                        assert e_k_residual(d, k) < 0, (spec, N, k)
 
     def test_ek_blocks_and_surrogate_read_the_same_arguments(self, monkeypatch):
         seen = []
@@ -285,15 +288,12 @@ class TestPredictions:
         est = float(np.mean(ests))
         assert abs(est - QUADRATIC_CONSTANT) / QUADRATIC_CONSTANT < 0.15
 
-    def test_argmax_digits_near_star(self, fixtures):
-        for a_str, bound in fixtures["argmax_digit_distance"].items():
-            a = int(a_str)
+    def test_argmax_digits_near_star(self):
+        # Every digit of the scan's argmax is floor(5a/6) or ceil(5a/6).
+        for a in (7, 10, 12, 20, 30, 50):
             t = build_table(f"[0;({a})]", 4)
-            res = scan(t, 3)
-            best = encode(t, res.argmax_N, K=3)
-            star = n_star(t, 3)
-            dist = max(abs(b - s) for b, s in zip(best.digits, star.digits))
-            assert dist <= bound
+            best = encode(t, scan(t, 3).argmax_N, K=3)
+            assert set(best.digits) <= {5 * a // 6, -(-5 * a // 6)}, (a, best.digits)
 
     def test_formula_shape_components(self):
         t = build_table("[0;(100)]", 4)
