@@ -117,13 +117,15 @@ def log_two_sin(y: np.ndarray) -> tuple[np.ndarray, int]:
     """log|2 sin(pi y)| elementwise, counting exact-zero factors.
 
     Zero factors contribute 0 to the returned log array; the caller decides
-    how to surface them.
+    how to surface them.  y is left as it is; the other steps work in place
+    on one temporary.
     """
-    s = np.abs(np.sin(np.pi * y))
-    zeros = int(np.count_nonzero(s == 0.0))
-    if zeros:
-        out = np.zeros_like(s)
+    s = np.multiply(y, np.pi)
+    np.abs(np.sin(s, out=s), out=s)
+    if s.size and not s.min() > 0.0:  # a zero factor (or a NaN, which min propagates)
         nz = s != 0.0
+        out = np.zeros_like(s)
         out[nz] = np.log(2.0 * s[nz])
-        return out, zeros
-    return np.log(2.0 * s), 0
+        return out, s.size - int(np.count_nonzero(nz))
+    s *= 2.0
+    return np.log(s, out=s), 0

@@ -8,8 +8,9 @@ summation; many shifts of one block product can instead share one log-sine
 pass through a cotangent power-sum expansion (see `log_sudler_shifted`).  A
 scan takes a sequential cumsum per block and adds the block totals in block
 order; over q_K ~ 1.2e7 indices its values[N] stay within 1e-12 of
-log_sudler (9.3e-13 measured for [0;(15)], K = 6), and a second pass seeds
-the blocks and adds up their c-norm terms.
+log_sudler (9.3e-13 measured for [0;(15)], K = 6).  A first pass takes the
+cumsums and block peaks, and a second seeds the blocks, adds up their c-norm
+terms and picks the top candidates from the few blocks that can hold them.
 """
 
 from __future__ import annotations
@@ -391,9 +392,13 @@ def scan(table: ConvergentTable, K: int, c_list=(), parallelism: int = 1,
     totals.  The first pass takes the cumsums; fl(v + s) is monotone in v,
     so the block peaks give max_log before any block is seeded.  The second
     seeds each block and adds its c-norm terms, exp of c (log P_N - max_log)
-    raised to _EXP_FLOOR, while the block is in cache.  Every reduction runs
-    over fixed blocks merged in block order, so the result is bit-identical
-    for any parallelism level.
+    raised to _EXP_FLOOR, while the block is in cache.  Only the top_m
+    blocks with the largest seeded peaks (ties to the lower block) can hold
+    a top value: each of their peaks is a distinct N that ranks above every
+    value of another block.  The second pass takes those blocks' own top_m
+    in the order of `top`, (-log P_N, N), from the seeded values.  Every
+    reduction runs over fixed blocks merged in block order, so the result is
+    bit-identical for any parallelism level.
     """
     if not 1 <= K <= table.K_max:
         raise RangeError(f"K={K} outside [1, {table.K_max}]")
@@ -418,28 +423,28 @@ def scan(table: ConvergentTable, K: int, c_list=(), parallelism: int = 1,
             raise ZeroFactorError(f"vanishing factor in block [{block.start},{block.stop})")
         v = values[block]
         np.cumsum(g, out=v)
-        cand = np.argpartition(-v, top_m)[:top_m] if top_m < len(v) else range(len(v))
-        return float(v[-1]), float(v.max()), [block.start + int(i) for i in cand]
+        return float(v[-1]), float(v.max())
 
-    def finish(block, s):
-        v = values[block]
+    def finish(i, s):
+        v = values[blocks[i]]
         v += s
-        if not c_list:
-            return []
-        x = v - max_log
         terms = []
-        for c in c_list:
-            y = x * c
-            np.maximum(y, _EXP_FLOOR, out=y)
-            terms.append(float(np.exp(y, out=y).sum()))
-        return terms
+        if c_list:
+            x = v - max_log
+            y = np.empty_like(x)
+            for c in c_list:
+                np.multiply(x, c, out=y)
+                np.maximum(y, _EXP_FLOOR, out=y)
+                terms.append(float(np.exp(y, out=y).sum()))
+        return terms, (_block_top(v, top_m) + blocks[i].start).tolist() if i in picked else []
 
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        totals, peaks, cands = zip(*pool.map(prefix, blocks))
+        totals, peaks = zip(*pool.map(prefix, blocks))
         seeds = np.concatenate(([0.0], np.cumsum(totals[:-1])))
         peaks = [float(m + s) for m, s in zip(peaks, seeds)]
         max_log = max(peaks)
-        parts = list(pool.map(finish, blocks, seeds))
+        picked = set(sorted(range(len(blocks)), key=lambda i: (-peaks[i], i))[:top_m])
+        parts, cands = zip(*pool.map(finish, range(len(blocks)), seeds))
     # The lowest block holding the max, and its first entry: ties go to the lowest N.
     win = blocks[peaks.index(max_log)]
     argmax_N = win.start + int(np.argmax(values[win]))
@@ -448,3 +453,12 @@ def scan(table: ConvergentTable, K: int, c_list=(), parallelism: int = 1,
     top = sorted(((n, float(values[n])) for block_cands in cands for n in block_cands),
                  key=lambda t: (-t[1], t[0]))
     return ScanResult(K, q_K, argmax_N, max_log, sums, tuple(top[:top_m]), values)
+
+
+def _block_top(v: np.ndarray, m: int) -> np.ndarray:
+    """Indices of v's m >= 1 largest values, ties to the lowest index, in no order."""
+    if m >= v.size:
+        return np.arange(v.size)
+    kth = np.partition(v, v.size - m)[v.size - m]  # the m-th largest
+    above = np.flatnonzero(v > kth)
+    return np.concatenate((above, np.flatnonzero(v == kth)[:m - above.size]))

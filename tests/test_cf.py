@@ -357,6 +357,23 @@ class TestFracPart:
                     worst = max(worst, float(abs(g - ref) * d))
         assert worst <= 2.0 ** -53
 
+    def test_log_two_sin_in_place(self):
+        # log_two_sin works in place on one temporary: its logs are the plain
+        # numpy expression's bit for bit, a zero factor reads 0 and is
+        # counted, and the input is left as it was.
+        t = build_table("[0;(15)]", 6)
+        blocks = ((t.fracs(1, CHUNK + 1), 0), (t.fracs(0, CHUNK), 1),
+                  (build_table("[0;2,3]", 2).fracs(0, 50), 8))
+        for y, zeros in blocks:
+            before = y.copy()
+            logs, count = log_two_sin(y)
+            s = np.abs(np.sin(np.pi * y))
+            with np.errstate(divide="ignore"):
+                ref = np.where(s == 0.0, 0.0, np.log(2.0 * s))
+            assert count == zeros == np.count_nonzero(s == 0.0)
+            assert logs.tobytes() == ref.tobytes()
+            assert y.tobytes() == before.tobytes()
+
     def test_fracs_match_double_double(self):
         # The residue kernel against the double-double product with a 106-bit
         # {alpha}, mod 1, on the first and the last block below q_6.

@@ -649,9 +649,26 @@ class TestScan:
     def test_ties_go_to_lowest_n(self, monkeypatch):
         # with every factor's log 0, all q_7 products tie at 1 over six blocks
         monkeypatch.setattr(products, "log_two_sin", lambda y: (np.zeros(len(y)), 0))
-        res = scan(build_table("[0;(6)]", 7), 7, c_list=(2.0,), parallelism=2)
-        assert (res.argmax_N, res.max_log) == (0, 0.0)
-        assert res.sums[2.0] == math.log(res.q_K)
+        t = build_table("[0;(6)]", 7)
+        for parallelism in (1, 2):
+            res = scan(t, 7, c_list=(2.0,), parallelism=parallelism)
+            assert (res.argmax_N, res.max_log) == (0, 0.0)
+            assert res.sums[2.0] == math.log(res.q_K)
+            assert [n for n, _ in res.top] == list(range(32))
+            assert res.top[0][0] == res.argmax_N
+
+    @pytest.mark.parametrize("spec, K, n_blocks", [
+        ("[0;(15)]", 5, 12), ("golden", 28, 8), ("[0;15,15,15,15,15]", 5, 12)])
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_top_from_fewer_blocks(self, spec, K, n_blocks, parallelism):
+        # scan picks top candidates only in the top_m blocks with the largest
+        # seeded peaks; with fewer top_m than blocks it skips the others
+        t = build_table(spec, K)
+        for top_m in (0, 1, 2, 5, 11, 12, 13, 32, 100):
+            res = scan(t, K, parallelism=parallelism, top_m=top_m)
+            assert -(-res.q_K // CHUNK) == n_blocks
+            order = np.argsort(-res.values, kind="stable")[:top_m]
+            assert res.top == tuple((int(n), float(res.values[n])) for n in order)
 
     def test_result_field_types(self):
         # an np.float64 max_log would change the repr of everything built on it
