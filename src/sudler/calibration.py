@@ -6,8 +6,8 @@ alpha set, applies a fixed safety margin, and freezes the result; the
 verification suites are regression tests against the frozen file, never
 claims about the true constants.  A rerun does not reproduce the frozen file
 bit for bit once the product kernels change; verification reads the file.
-The theorem laws are fitted on the rows of `LAW_FITS`, through the same
-report code (`sudler.cli.LAWS`) that `verify --suite theoremN` runs.
+The theorem laws are fitted on the rows of `LAW_FITS`, through the report
+functions of `sudler.theorems` that `verify --suite theoremN` runs.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import SudlerError
 from .limitfn import empirical_limit, g_alpha
 from .ostrowski import delta_T_default, encode
 from .products import log_sudler
-from .theorems import u_n_log
+from .theorems import lcnorm_prediction, pnstar_prediction, theorem1_check, u_n_log
 
 MARGIN = 1.5
 CURVE_BUDGET_OVERRIDE = 15_000_000  # q_6 for [0;(15)] is 1.165e7
@@ -124,22 +124,19 @@ def _anchored_fit(reports) -> dict:
 # Unit constants make each report's error_budget exactly its budget shape.
 _UNIT = {"C_cal": 1.0, "C_alpha": 0.0}
 
-# The fit rows of the theorem laws: (law, alpha specs, c list, fit rule), each
-# at K = 3 on tables built to 4.
+# The fit rows of the theorem laws: (law, alpha specs, the law's reports at
+# K = 3 on a table built to 4, fit rule).
 LAW_FITS = (
-    ("theorem1", ("[0;(10)]",), (), _split_budget),
-    ("theorem2", ("[0;(30)]",), (0.05, 0.5, 1.0, 2.0, 8.0, 64.0), _anchored_fit),
-    ("theorem3", ("[0;(30)]", "[0;(50)]"), (), _split_budget),
+    ("theorem1", ("[0;(10)]",), lambda t, fx: theorem1_check(t, 3, fx), _split_budget),
+    ("theorem2", ("[0;(30)]",),
+     lambda t, fx: lcnorm_prediction(t, 3, fx, (0.05, 0.5, 1.0, 2.0, 8.0, 64.0)), _anchored_fit),
+    ("theorem3", ("[0;(30)]", "[0;(50)]"), lambda t, fx: [pnstar_prediction(t, 3, fx)],
+     _split_budget),
 )
 
 
-def _fit_law(law, specs, c_list, fit) -> dict:
-    # The report code lives in cli, whose names the benchmark's tracer wraps;
-    # cli imports this module for the fixtures, so the import waits until here.
-    from .cli import LAWS
-
-    return fit([r for spec in specs
-                for r in LAWS[law](build_table(spec, 4), 3, {law: _UNIT}, c_list, 0)])
+def _fit_law(law, specs, reports, fit) -> dict:
+    return fit([r for spec in specs for r in reports(build_table(spec, 4), {law: _UNIT})])
 
 
 def _un_residual() -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__, calibration, serialize
 from .cf import build_table, parse_alpha
 from .cotangent import v_k, v_k_main_term, v_k_star
-from .errors import RationalDepthError, SudlerError
+from .errors import RangeError, RationalDepthError, SudlerError
 from .limitfn import DEFAULT_CURVE_BUDGET, crossing_abscissa, empirical_limit, g_alpha, g_alpha_r
 from .ostrowski import decode, encode, epsilon_profile
 from .products import DEFAULT_SCAN_BUDGET, DEFAULT_TOP_M, decompose, decompose_all, scan
@@ -228,42 +228,6 @@ def _suite_decomp(args, fixtures) -> list[PredictionReport]:
     return [PredictionReport(f"decomposition identity N<q_{K}", 0.0, worst, 1e-9)]
 
 
-def _theorem1_reports(table, K, fixtures, c_list, seed) -> list[PredictionReport]:
-    """Digit penalty at every N < q_K when q_K <= 4096, else at 512 distinct seeded N."""
-    values = scan(table, K).values  # checks the scan budget before anything is sampled
-    q_K = len(values)
-    sample = (range(q_K) if q_K <= 4096 else
-              sorted(int(n) for n in np.random.default_rng(seed).choice(q_K, 512, replace=False)))
-    return theorem1_check(table, K, sample, fixtures, values=values)
-
-
-def _theorem2_reports(table, K, fixtures, c_list, seed) -> list[PredictionReport]:
-    cs = c_list or (0.5, 2.0, 64.0)
-    res = scan(table, K, c_list=cs)
-    return [lcnorm_prediction(table, K, c, fixtures, scan_result=res) for c in cs]
-
-
-def _theorem3_reports(table, K, fixtures, c_list, seed) -> list[PredictionReport]:
-    return [pnstar_prediction(table, K, fixtures)]
-
-
-# The report code of each theorem law, on a table built to K + 1: `verify` runs
-# it on one alpha, and `calibration.calibrate` fits the law's constants to it.
-LAWS = {
-    "theorem1": _theorem1_reports,
-    "theorem2": _theorem2_reports,
-    "theorem3": _theorem3_reports,
-}
-
-
-def _law_table(args):
-    try:
-        return _table(args, args.K + 1)
-    except RationalDepthError as exc:
-        raise RationalDepthError(
-            f"{exc}; the theorem suites build the table to K + 1 = {args.K + 1}") from None
-
-
 def _suite_limits(args, fixtures) -> list[PredictionReport]:
     budget = fixture_value(fixtures, "limit_curve", "a15_k4_sup")
     grid = np.round(np.arange(-0.95, 0.9501, 0.01), 10)
@@ -281,10 +245,26 @@ def _suite_limits(args, fixtures) -> list[PredictionReport]:
     return reports
 
 
+def _law_table(args):
+    """The theorem suites' table, built to K + 1."""
+    if args.K < 1:
+        raise RangeError(f"--K must be >= 1, got {args.K}")
+    try:
+        return _table(args, args.K + 1)
+    except RationalDepthError as exc:
+        raise RationalDepthError(
+            f"{exc}; the theorem suites build the table to K + 1 = {args.K + 1}") from None
+
+
+# The theorem suites look the law functions up in this module when they run,
+# so the benchmark's tracer sees them under their `sudler.cli` names.
 SUITES = {
     "constants": _suite_constants,
     "decomp": _suite_decomp,
     "limits": _suite_limits,
+    "theorem1": lambda args, fx: theorem1_check(_law_table(args), args.K, fx, args.seed),
+    "theorem2": lambda args, fx: lcnorm_prediction(_law_table(args), args.K, fx, args.c),
+    "theorem3": lambda args, fx: [pnstar_prediction(_law_table(args), args.K, fx)],
 }
 # Suites that read neither --alpha nor --K; their JSON records null for both.
 FIXED_SUITES = ("constants", "limits")
@@ -292,10 +272,7 @@ FIXED_SUITES = ("constants", "limits")
 
 def cmd_verify(args) -> int:
     fixtures = calibration.load_fixtures(args.fixtures)
-    if args.suite in LAWS:
-        reports = LAWS[args.suite](_law_table(args), args.K, fixtures, args.c, args.seed)
-    else:
-        reports = SUITES[args.suite](args, fixtures)
+    reports = SUITES[args.suite](args, fixtures)
     ok = all(r.passed for r in reports)
     for r in reports:
         tag = "PASS" if r.passed else "FAIL"
@@ -373,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("verify", help="run a verification suite against fixtures")
     _add_alpha(s, "[0;(10)]")
-    s.add_argument("--suite", choices=(*SUITES, *LAWS), required=True)
+    s.add_argument("--suite", choices=tuple(SUITES), required=True)
     s.add_argument("--K", type=int, default=3)
     s.add_argument("--c", type=_parse_c_list, default="",
                    help="comma-separated norm exponents")

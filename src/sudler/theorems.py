@@ -316,37 +316,44 @@ def pnstar_prediction(table: ConvergentTable, K: int, fixtures: dict) -> Predict
     return PredictionReport(f"pnstar K={K}", prediction, observed, budget)
 
 
-def lcnorm_prediction(table: ConvergentTable, K: int, c: float, fixtures: dict,
-                      scan_result=None) -> PredictionReport:
-    """Predicted c-norm of the scan against the log-sum-exp accumulator."""
-    c = float(c)
-    if not 0.01 <= c < math.inf:
-        raise RangeError("c must be finite and >= 0.01")
-    if scan_result is None or scan_result.K != K or c not in scan_result.sums:
-        scan_result = scan(table, K, c_list=(c,))
-    observed = scan_result.sums[c] / c
-    star_log = float(scan_result.values[decode(n_star(table, K))])
-    correction = sum(
-        math.log(2.0 * table.a[k] / (math.sqrt(3.0) * c)) for k in range(1, K + 1)
-    ) / (2.0 * c)
-    prediction = star_log + correction
-    C_cal, C_alpha = _fixture_pair(fixtures, "theorem2")
-    budget = C_cal * theorem2_budget_shape(table, K, c) + C_alpha
-    return PredictionReport(f"lcnorm K={K} c={c}", prediction, observed, budget)
+def lcnorm_prediction(table: ConvergentTable, K: int, fixtures: dict,
+                      c_list=()) -> list[PredictionReport]:
+    """Predicted c-norms against the log-sum-exp accumulators of one scan.
 
-
-def theorem1_check(table: ConvergentTable, K: int, sample, fixtures: dict,
-                   values: np.ndarray | None = None) -> list[PredictionReport]:
-    """Digit-penalty prediction of log P_N - log P_{N*} over a sample of N.
-
-    When every digit stays within the 0.99 a_{k+1} regime the check is
-    two-sided; a digit at the carry maximum only admits the quadratic lower
-    bound on its penalty, so those N are checked one-sidedly (the observed
-    drop must be at least the predicted one, up to budget).
+    One report per c of `c_list`, (0.5, 2, 64) when it is empty; the scan
+    shares its pass over N < q_K between all of them.
     """
-    sample = [int(N) for N in sample]
-    if values is None:
-        values = scan(table, K).values
+    cs = tuple(float(c) for c in c_list) or (0.5, 2.0, 64.0)
+    res = scan(table, K, c_list=cs)  # rejects non-positive and non-finite c first
+    if not all(0.01 <= c < math.inf for c in cs):
+        raise RangeError("c must be finite and >= 0.01")
+    star_log = float(res.values[decode(n_star(table, K))])
+    C_cal, C_alpha = _fixture_pair(fixtures, "theorem2")
+    out = []
+    for c in cs:
+        correction = sum(
+            math.log(2.0 * table.a[k] / (math.sqrt(3.0) * c)) for k in range(1, K + 1)
+        ) / (2.0 * c)
+        budget = C_cal * theorem2_budget_shape(table, K, c) + C_alpha
+        out.append(PredictionReport(f"lcnorm K={K} c={c}", star_log + correction,
+                                    res.sums[c] / c, budget))
+    return out
+
+
+def theorem1_check(table: ConvergentTable, K: int, fixtures: dict,
+                   seed: int = 0) -> list[PredictionReport]:
+    """Digit-penalty prediction of log P_N - log P_{N*}, one report per N.
+
+    N runs over every N < q_K when q_K <= 4096, else over 512 distinct N
+    drawn with `seed`.  When every digit stays within the 0.99 a_{k+1} regime
+    the check is two-sided; a digit at the carry maximum only admits the
+    quadratic lower bound on its penalty, so those N are checked one-sidedly
+    (the observed drop must be at least the predicted one, up to budget).
+    """
+    values = scan(table, K).values  # checks the scan budget before anything is sampled
+    q_K = len(values)
+    sample = (range(q_K) if q_K <= 4096 else
+              sorted(int(n) for n in np.random.default_rng(seed).choice(q_K, 512, replace=False)))
     star_log = float(values[decode(n_star(table, K))])
     C_cal, C_alpha = _fixture_pair(fixtures, "theorem1")
     base_shape = theorem1_budget_shape(table, K)

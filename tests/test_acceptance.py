@@ -241,8 +241,7 @@ def test_criterion_7_theorem1(fx):
     c = _Criterion(7, "theorem 1", 120.0)
     t = build_table("[0;(10)]", 4)
     K = 3
-    values = scan(t, K).values
-    reports = theorem1_check(t, K, range(int(t.q[K])), fx, values=values)
+    reports = theorem1_check(t, K, fx)
     c.check("exhaustive N < q_3", all(r.passed for r in reports))
     c.check("sample size", len(reports) == int(t.q[K]))
     t50 = build_table("[0;(50)]", 4)
@@ -259,8 +258,7 @@ def test_criterion_8_theorems_2_3(fx):
     K = 3
     cs = (0.5, 2.0, 64.0)
     res = scan(t, K, c_list=cs)
-    for cc in cs:
-        rep = lcnorm_prediction(t, K, cc, fx, scan_result=res)
+    for cc, rep in zip(cs, lcnorm_prediction(t, K, fx, cs)):
         c.check(f"lcnorm c={cc}", rep.passed)
     rep = pnstar_prediction(t, K, fx)
     c.check("pnstar", rep.passed)

@@ -1,9 +1,11 @@
+import ast
 import contextlib
 import io
 import os
 import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 import sudler
 from sudler import calibration
 from sudler.calibration import load_fixtures, save_fixtures
-from sudler.cli import LAWS, SUITES, _parse_grid, main
+from sudler.cli import SUITES, _parse_grid, main
 from sudler.serialize import load_json, table_from_dict, table_to_dict
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(sudler.__file__)))
@@ -246,6 +248,36 @@ def test_theorem3_beyond_scan_budget_exits_1(capsys):
     assert "exceeds scan budget" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("suite", ["theorem1", "theorem2", "theorem3"])
+@pytest.mark.parametrize("K", ["0", "-1"])
+def test_theorem_suite_k_below_1_names_flag(capsys, suite, K):
+    assert main(["verify", "--suite", suite, "--alpha", "[0;(10)]", f"--K={K}"]) == 1
+    assert capsys.readouterr().err == f"error: --K must be >= 1, got {K}\n"
+
+
+def _imported_modules(node):
+    # Dotted names an import statement may bind, with relative imports read
+    # from inside the package (which is flat).
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = ".".join(filter(None, ("sudler" if node.level else "", node.module)))
+        return [base, *(f"{base}.{alias.name}" for alias in node.names)]
+    return []
+
+
+def test_only_cli_imports_cli():
+    # One import direction: cli -> laws -> kernels.  No other module of the
+    # package imports cli, at module level or inside a function.
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(sudler.__file__).parent.glob("*.py")) if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if "sudler.cli" in _imported_modules(node)
+    ]
+    assert offenders == []
+
+
 def test_verify_report_json(tmp_path):
     out = tmp_path / "report.json"
     rc = main(["verify", "--suite", "theorem2", "--alpha", "[0;(30)]", "--K", "3",
@@ -446,7 +478,7 @@ _ARGVS = st.one_of(
     _argv(st.just("figures"), st.just("--which"),
           st.sampled_from(["fig1", "fig2", "fig3", "fig4"]), st.just("--grid"), _GRIDS),
     _argv(st.just("verify"), _COMMON, st.just("--suite"),
-          st.sampled_from((*SUITES, *LAWS, "nope")), st.just("--K"), st.integers(-1, 3),
+          st.sampled_from((*SUITES, "nope")), st.just("--K"), st.integers(-1, 3),
           _opt("--c", st.sampled_from(["2", "-1", "abc", "nan", "inf"])),
           _opt("--seed", st.integers(-3, 3))),
     st.sampled_from([[], ["--version"], ["calibrate", "--out"], ["calibrate", "--bogus"]]),

@@ -233,53 +233,48 @@ class TestPredictions:
 
     def test_lcnorm_collapses_at_large_c(self, fixtures):
         t = build_table("[0;(30)]", 4)
-        res = scan(t, 3, c_list=(64.0,))
-        rep = lcnorm_prediction(t, 3, 64.0, fixtures, scan_result=res)
+        rep, = lcnorm_prediction(t, 3, fixtures, (64.0,))
         star_log = log_sudler(t, decode(n_star(t, 3))).log_value
         assert abs(rep.prediction - star_log) < 0.05
         assert rep.passed
 
     def test_lcnorm_reads_star_from_scan(self, fixtures, monkeypatch):
-        # six c sharing one scan evaluate log P_{N*} from its values, not anew
+        # six c share one scan and evaluate log P_{N*} from its values, not anew
         t = build_table("[0;(30)]", 4)
         cs = (0.5, 1.0, 2.0, 4.0, 8.0, 64.0)
-        res = scan(t, 3, c_list=cs)
-        calls = []
+        calls, scans = [], []
         monkeypatch.setattr(theorems, "log_sudler",
                             lambda *a: calls.append(a) or log_sudler(*a))
-        reps = [lcnorm_prediction(t, 3, c, fixtures, scan_result=res) for c in cs]
-        assert calls == []
+        monkeypatch.setattr(theorems, "scan",
+                            lambda *a, **kw: scans.append(kw) or scan(*a, **kw))
+        reps = lcnorm_prediction(t, 3, fixtures, cs)
+        assert calls == [] and scans == [{"c_list": cs}]
         star_log = log_sudler(t, decode(n_star(t, 3))).log_value
         for c, rep in zip(cs, reps):
             correction = 3 * math.log(60.0 / (math.sqrt(3.0) * c)) / (2.0 * c)
             assert rep.prediction == pytest.approx(star_log + correction, abs=1e-9)
-        # a scan to a smaller K is not reused
-        short = scan(t, 2, c_list=(2.0,))
-        rep = lcnorm_prediction(t, 3, 2.0, fixtures, scan_result=short)
-        assert rep.observed == reps[2].observed
 
     def test_lcnorm_rejects_tiny_c(self, fixtures):
         t = build_table("[0;(30)]", 4)
         with pytest.raises(Exception):
-            lcnorm_prediction(t, 3, 0.001, fixtures)
+            lcnorm_prediction(t, 3, fixtures, (0.001,))
 
     @pytest.mark.parametrize("c", [math.nan, math.inf])
     def test_lcnorm_rejects_non_finite_c(self, fixtures, c):
         t = build_table("[0;(30)]", 4)
-        res = scan(t, 3, c_list=(2.0,))
         with pytest.raises(RangeError):
-            lcnorm_prediction(t, 3, c, fixtures, scan_result=res)
+            lcnorm_prediction(t, 3, fixtures, (c,))
 
     def test_theorem1_at_star_trivial(self, fixtures):
         t = build_table("[0;(10)]", 4)
         star_N = decode(n_star(t, 3))
-        rep = theorem1_check(t, 3, [star_N], fixtures)[0]
+        rep = theorem1_check(t, 3, fixtures)[star_N]  # q_3 = 1020: one report per N
         assert rep.prediction == 0.0 and rep.observed == 0.0 and rep.passed
 
     def test_theorem1_out_of_regime_one_sided(self, fixtures):
         t = build_table("[0;(10)]", 4)
         N = decode(OstrowskiDigits((0, 10, 5), t))
-        rep = theorem1_check(t, 3, [N], fixtures)[0]
+        rep = theorem1_check(t, 3, fixtures)[N]
         assert rep.one_sided and rep.passed
 
     def test_quadratic_slope_recovery(self):
