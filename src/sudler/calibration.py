@@ -6,29 +6,24 @@ alpha set, applies a fixed safety margin, and freezes the result; the
 verification suites are regression tests against the frozen file, never
 claims about the true constants.  A rerun does not reproduce the frozen file
 bit for bit once the product kernels change; verification reads the file.
-The theorem laws are fitted on the rows of `LAW_FITS`, through the report
-functions of `sudler.theorems` that `verify --suite theoremN` runs.
+Each group is fitted to what its check computes: `v_k_reports`,
+`a15_curve_sup`, `u_n_residuals`, and the law reports on the rows of
+`LAW_FITS`.  This module holds only the fit rules and their rows.
 """
 
 from __future__ import annotations
 
 import importlib.resources
-import math
 import re
-
-import numpy as np
 
 from . import serialize
 from .cf import build_table
-from .cotangent import digamma, v_k, v_k_star
+from .cotangent import v_k_reports
 from .errors import SudlerError
-from .limitfn import empirical_limit, g_alpha
-from .ostrowski import delta_T_default, encode
-from .products import log_sudler
-from .theorems import lcnorm_prediction, pnstar_prediction, theorem1_check, u_n_log
+from .limitfn import a15_curve_sup
+from .theorems import lcnorm_prediction, pnstar_prediction, theorem1_check, u_n_residuals
 
 MARGIN = 1.5
-CURVE_BUDGET_OVERRIDE = 15_000_000  # q_6 for [0;(15)] is 1.165e7
 
 _HEXFLOAT = re.compile(r"^-?0x[0-9a-f]", re.IGNORECASE)
 
@@ -74,36 +69,12 @@ def save_fixtures(fixtures: dict, path: str | None = None):
     serialize.dump_json(_encode_reals(fixtures), path or default_fixture_path())
 
 
-# --- individual calibrations ---
+# --- fit rules and rows ---
 
 
-def _vk_envelopes() -> tuple[dict, dict]:
-    a = 15
-    table = build_table(f"[0;({a})]", 5)
-    plain, starred = 0.0, 0.0
-    for k in (4, 5):
-        delta = float(table.delta[k])
-        xs = (-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9)
-        for x, v in zip(xs, v_k(table, k, xs)):
-            resid = abs(v / delta - (math.log(a / (2 * math.pi)) - digamma(1.0 + x)))
-            shape = (1.0 + 2.0 * math.log(a)) / ((1.0 - abs(x)) * a)
-            plain = max(plain, resid / shape)
-        xs = (-1.5, -0.75, 0.0, 0.75, 1.5)
-        for x, v in zip(xs, v_k_star(table, k, xs)):
-            resid = abs(v / delta - (math.log(a / (2 * math.pi)) - digamma(2.0 + x)))
-            shape = (1.0 + 2.0 * math.log(a)) / ((2.0 - abs(x)) * a)
-            starred = max(starred, resid / shape)
-    return {"C_cal": plain * MARGIN}, {"C_cal": starred * MARGIN}
-
-
-def _limit_curve() -> dict:
-    table = build_table("[0;(15)]", 6)
-    grid = np.round(np.arange(-0.95, 0.9501, 0.01), 10)
-    closed = g_alpha(15, grid)
-    sup4 = float(np.max(np.abs(empirical_limit(table, 4, grid) - closed)))
-    curve6 = empirical_limit(table, 6, grid, budget=CURVE_BUDGET_OVERRIDE)
-    sup6 = float(np.max(np.abs(curve6 - closed)))
-    return {"a15_k4_sup": sup4 * 1.3, "a15_k6_sup": sup6 * 1.3}
+def _envelope_fit(reports) -> dict:
+    # One constant: the margined largest residual per unit of budget shape.
+    return {"C_cal": MARGIN * max(r.residual / r.error_budget for r in reports)}
 
 
 def _split_budget(reports) -> dict:
@@ -121,8 +92,21 @@ def _anchored_fit(reports) -> dict:
     return {"C_cal": max(C_cal, 0.01), "C_alpha": C_alpha}
 
 
+def _band_fit(resids) -> dict:
+    lo, hi = min(resids), max(resids)
+    pad = 0.25 * (hi - lo) + 0.05
+    return {"lo": lo - pad, "hi": hi + pad}
+
+
 # Unit constants make each report's error_budget exactly its budget shape.
 _UNIT = {"C_cal": 1.0, "C_alpha": 0.0}
+
+
+def _vk_fit(starred: bool, xs) -> dict:  # the V_k or V_k* envelope at a = 15, k = 4 and 5
+    table = build_table("[0;(15)]", 5)
+    unit = {"vk_envelope": _UNIT, "vk_star_envelope": _UNIT}
+    return _envelope_fit([r for k in (4, 5) for r in v_k_reports(table, k, xs, unit, starred)])
+
 
 # The fit rows of the theorem laws: (law, alpha specs, the law's reports at
 # K = 3 on a table built to 4, fit rule).
@@ -139,35 +123,15 @@ def _fit_law(law, specs, reports, fit) -> dict:
     return fit([r for spec in specs for r in reports(build_table(spec, 4), {law: _UNIT})])
 
 
-def _un_residual() -> dict:
-    table = build_table("[0;(20)]", 5)
-    K = 4
-    cutoff = (1.0 - delta_T_default(1.0)) * 20
-    rng = np.random.default_rng(20)
-    resids = []
-    for N in rng.integers(0, int(table.q[K]), size=60):
-        digits = encode(table, int(N), K=K)
-        if any(b > cutoff for b in digits.digits[1:]):
-            continue
-        un = u_n_log(digits)
-        resids.append(
-            log_sudler(table, int(N)).require_nonzero() - un.log_u - un.below_k0_log
-        )
-    lo, hi = min(resids), max(resids)
-    pad = 0.25 * (hi - lo) + 0.05
-    return {"lo": lo - pad, "hi": hi + pad}
-
-
 def calibrate(out_path: str | None = None) -> dict:
     """Compute all frozen constants from the current kernels."""
-    vk, vk_star = _vk_envelopes()
     fixtures = {
         "schema_version": serialize.SCHEMA_VERSION,
-        "vk_envelope": vk,
-        "vk_star_envelope": vk_star,
-        "limit_curve": _limit_curve(),
+        "vk_envelope": _vk_fit(False, (-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9)),
+        "vk_star_envelope": _vk_fit(True, (-1.5, -0.75, 0.0, 0.75, 1.5)),
+        "limit_curve": {f"a15_k{k}_sup": 1.3 * a15_curve_sup(k) for k in (4, 6)},
         **{law: _fit_law(law, *row) for law, *row in LAW_FITS},
-        "un_residual": _un_residual(),
+        "un_residual": _band_fit(u_n_residuals(build_table("[0;(20)]", 5), 4, seed=20, size=60)),
     }
     if out_path is not None:
         save_fixtures(fixtures, out_path)

@@ -18,14 +18,14 @@ from . import __version__, calibration, serialize
 from .cf import build_table, parse_alpha
 from .cotangent import v_k, v_k_main_term, v_k_star
 from .errors import RangeError, RationalDepthError, SudlerError
-from .limitfn import DEFAULT_CURVE_BUDGET, crossing_abscissa, empirical_limit, g_alpha, g_alpha_r
+from .limitfn import (DEFAULT_CURVE_BUDGET, a15_curve_sup, crossing_abscissa, empirical_limit,
+                      g_alpha, g_alpha_r)
 from .ostrowski import decode, encode, epsilon_profile
 from .products import DEFAULT_SCAN_BUDGET, DEFAULT_TOP_M, decompose, decompose_all, scan
+from .report import PredictionReport, fixture_value
 from .theorems import (
-    PredictionReport,
     bernoulli_b2_closed_forms,
     bernoulli_b2_integrals,
-    fixture_value,
     lcnorm_prediction,
     pnstar_prediction,
     theorem1_check,
@@ -230,12 +230,7 @@ def _suite_decomp(args, fixtures) -> list[PredictionReport]:
 
 def _suite_limits(args, fixtures) -> list[PredictionReport]:
     budget = fixture_value(fixtures, "limit_curve", "a15_k4_sup")
-    grid = np.round(np.arange(-0.95, 0.9501, 0.01), 10)
-    table15 = build_table("[0;(15)]", 4)
-    sup = float(np.max(np.abs(
-        empirical_limit(table15, 4, grid) - g_alpha(15, grid)
-    )))
-    reports = [PredictionReport("a=15 k=4 curve vs closed form", 0.0, sup, budget)]
+    reports = [PredictionReport("a=15 k=4 curve vs closed form", 0.0, a15_curve_sup(4), budget)]
     table250 = build_table("[0;(2,50)]", 5)
     cross_grid = np.round(np.arange(0.5, 1.0001, 0.005), 10)
     c4 = crossing_abscissa(cross_grid, empirical_limit(table250, 4, cross_grid))
@@ -247,8 +242,6 @@ def _suite_limits(args, fixtures) -> list[PredictionReport]:
 
 def _law_table(args):
     """The theorem suites' table, built to K + 1."""
-    if args.K < 1:
-        raise RangeError(f"--K must be >= 1, got {args.K}")
     try:
         return _table(args, args.K + 1)
     except RationalDepthError as exc:
@@ -272,6 +265,8 @@ FIXED_SUITES = ("constants", "limits")
 
 def cmd_verify(args) -> int:
     fixtures = calibration.load_fixtures(args.fixtures)
+    if args.suite not in FIXED_SUITES and args.K < 1:
+        raise RangeError(f"--K must be >= 1, got {args.K}")
     reports = SUITES[args.suite](args, fixtures)
     ok = all(r.passed for r in reports)
     for r in reports:

@@ -1,6 +1,6 @@
 """Vasyunin-type cotangent sums, their sine-weighted variants, and digamma.
 
-Every sum runs over n = 1 .. M in blocks of the signed residues behind
+Every sum runs over n = 1 .. q - 1 in blocks of the signed residues behind
 `ConvergentTable.fracs`: O(q_k) time and O(CHUNK) memory per call, and
 q_k <= 10^7.  A call with a grid of shifts x makes one such pass for all of
 them (see `_cot_sum`).
@@ -14,7 +14,8 @@ import numpy as np
 
 from .cf import ConvergentTable, _residues, _signed_residues
 from .errors import BudgetError, PoleError, RangeError
-from .numerics import _NEAR_T, CHUNK, _power_sums, kahan_sum
+from .numerics import _NEAR_T, CHUNK, _power_sums, kahan_sum_rows
+from .report import PredictionReport, fixture_value
 
 COTANGENT_BUDGET = 10 ** 7
 
@@ -43,29 +44,27 @@ def digamma(x: float) -> float:
     return acc + math.log(x) - 0.5 / x - tail
 
 
-def vasyunin(p: int, q: int, x: float = 0.0, parity_sign: int = 1) -> float:
-    """sum_{n=1}^{q-1} (n/q) cot(pi (n p + parity_sign x)/q) by direct summation."""
+def vasyunin(p: int, q: int, x: float = 0.0) -> float:
+    """sum_{n=1}^{q-1} (n/q) cot(pi (n p + x)/q) by direct summation."""
     p, q = int(p), int(q)
     if q < 2 or math.gcd(p, q) != 1:
         raise RangeError("p/q must be a reduced fraction with q >= 2")
-    if parity_sign not in (1, -1):
-        raise RangeError("parity_sign must be +1 or -1")
-    return _cot_sum(p, q, parity_sign * float(x), q - 1, lambda n: n / q)
+    return _cot_sum(p, q, float(x), lambda n: n / q)
 
 
 def _weighted_cot(table: ConvergentTable, k: int, x, exclude: tuple = ()):
     """sum_{n<q_k} sin(pi n theta_k/q_k) cot(pi (n (-1)^k p_k + x)/q_k)."""
     q_k = int(table.q[k])
     theta_over_q = float(table.theta[k]) / q_k
-    return _cot_sum((-1) ** k * table.p[k], q_k, x, q_k - 1,
+    return _cot_sum((-1) ** k * table.p[k], q_k, x,
                     lambda n: np.sin(np.pi * n * theta_over_q), exclude)
 
 
 _POWERS = 25  # power sums of the grid form (_cot_sum)
 
 
-def _cot_sum(P: int, Q: int, x, M: int, weight, exclude: tuple = ()):
-    """sum_{n=1}^{M} weight(n) cot(pi (r_n + x)/Q) over n not in exclude, r_n = n*P mod Q.
+def _cot_sum(P: int, Q: int, x, weight, exclude: tuple = ()):
+    """sum_{n=1}^{Q-1} weight(n) cot(pi (r_n + x)/Q) over n not in exclude, r_n = n*P mod Q.
 
     A float x gives a float, a 1-D sequence of shifts a list with one sum per
     x.  The residues are signed as in `ConvergentTable.fracs`, so (r_n + x)/Q
@@ -87,14 +86,14 @@ def _cot_sum(P: int, Q: int, x, M: int, weight, exclude: tuple = ()):
     cost at most 0.04 ms more.  Against a long-double evaluation at q_5, the
     pass is within 1.1e-16 for x in [-0.99, 0.99], the direct sum 8.9e-16.
     """
-    if M >= COTANGENT_BUDGET:
-        raise BudgetError(f"{M} terms exceed the direct-summation budget q <= {COTANGENT_BUDGET}")
+    if Q > COTANGENT_BUDGET:
+        raise BudgetError(f"{Q - 1} terms exceed the direct-summation budget q <= {COTANGENT_BUDGET}")
     scalar = np.ndim(x) == 0
     xs = np.array([x] if scalar else x, dtype=np.float64)
     expand = xs.size > 1
     t = np.tan(np.pi * (xs / Q))
     tau = float(np.max(np.abs(t), initial=0.0))
-    R = _residues(P, Q, min(M, CHUNK))
+    R = _residues(P, Q, min(Q - 1, CHUNK))
 
     def block(lo: int, hi: int) -> tuple:
         # (r_n, weight(n)) for lo <= n < hi; n and the unfiltered arrays are
@@ -107,17 +106,18 @@ def _cot_sum(P: int, Q: int, x, M: int, weight, exclude: tuple = ()):
         return r, weight(n)
 
     near, far = [], []
-    for lo in range(1, M + 1, CHUNK):
-        r, w = block(lo, min(lo + CHUNK, M + 1))
+    for lo in range(1, Q, CHUNK):
+        r, w = block(lo, min(lo + CHUNK, Q))
         if expand:
             tan_r = np.tan(np.pi * (r / Q))
             is_far = np.abs(tan_r) > _NEAR_T * tau
             r, w, tan_r, w_far = r[~is_far], w[~is_far], tan_r[is_far], w[is_far]
             far.append((float(w_far.sum()), *_power_sums(tau / tan_r, w_far / tan_r, _POWERS)))
         near.append(_near_cot(r, xs, Q, w))
-    sums = np.array([kahan_sum(col) for col in zip(*near)]) if near else np.zeros(xs.size)
+    # One row per x (per far-part sum), one column per block, added in block order.
+    sums = kahan_sum_rows(np.reshape(near, (len(near), xs.size)).T)
     if expand:
-        w_sum, *powers = (kahan_sum(col) for col in zip(*far)) if far else [0.0] * (_POWERS + 1)
+        w_sum, *powers = kahan_sum_rows(np.reshape(far, (len(far), _POWERS + 1)).T)
         ratio = -t / tau if tau else t
         sums += -t * w_sum + (1.0 + t * t) * (ratio[:, None] ** np.arange(_POWERS) @ powers)
     return float(sums[0]) if scalar else sums.tolist()
@@ -172,13 +172,29 @@ def v_k_star(table: ConvergentTable, k: int, x):
     return _weighted_cot(table, k, x, exclude=skip)
 
 
+def _main_term(a_k: int, s: float, x: float) -> float:
+    return math.log(a_k / (2.0 * math.pi)) - digamma(s + float(x))
+
+
 def v_k_main_term(table: ConvergentTable, k: int, x: float,
                   starred: bool = False) -> float:
     """delta_k * (log(a_k / 2 pi) - psi(1 + x)), with psi(2 + x) for the starred sum."""
     if not 1 <= k <= table.K_max:
         raise RangeError(f"k={k} outside [1, {table.K_max}]")
-    a_k = table.a[k]
-    shift = 2.0 if starred else 1.0
-    return float(table.delta[k]) * (
-        math.log(a_k / (2.0 * math.pi)) - digamma(shift + float(x))
-    )
+    return float(table.delta[k]) * _main_term(table.a[k], 2.0 if starred else 1.0, x)
+
+
+def v_k_reports(table: ConvergentTable, k: int, xs, fixtures: dict,
+                starred: bool = False) -> list[PredictionReport]:
+    """V_k(x)/delta_k against log(a_k / 2 pi) - psi(s + x), one report per x of xs.
+
+    s = 1, or 2 for V_k*.  The budget C (1 + 2 log a_k)/((s - |x|) a_k) reads
+    C_cal from the vk_envelope group, or vk_star_envelope for V_k*.
+    """
+    s = 2.0 if starred else 1.0
+    C = fixture_value(fixtures, "vk_star_envelope" if starred else "vk_envelope", "C_cal")
+    values = (v_k_star if starred else v_k)(table, k, xs)  # checks k and xs
+    a_k, delta = int(table.a[k]), float(table.delta[k])
+    return [PredictionReport(f"{'V*' if starred else 'V'}_{k}(x={x:g})", _main_term(a_k, s, x),
+                             v / delta, C * ((1.0 + 2.0 * math.log(a_k)) / ((s - abs(x)) * a_k)))
+            for x, v in zip(xs, values)]

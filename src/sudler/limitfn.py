@@ -121,6 +121,17 @@ def empirical_limit(table: ConvergentTable, k: int, grid,
     return np.where(lp.is_zero, 0.0, [math.exp(v) for v in lp.log_value.tolist()])
 
 
+def a15_curve_sup(k: int) -> float:
+    """sup |E_k - g_alpha| at x = -0.95, -0.94, ..., 0.95 for [0;(15)], on a table built to k.
+
+    The limits suite bounds it at k = 4 by limit_curve.a15_k4_sup; calibration
+    sets a15_k{4,6}_sup to 1.3 times it.  q_6 = 11,645,101 needs the budget.
+    """
+    grid = np.round(np.arange(-0.95, 0.9501, 0.01), 10)
+    curve = empirical_limit(build_table("[0;(15)]", k), k, grid, budget=15_000_000)
+    return float(np.max(np.abs(curve - g_alpha(15, grid))))
+
+
 def crossing_abscissa(grid: np.ndarray, curve: np.ndarray) -> float:
     """Last downward crossing of 1 by the curve on [1/2, 1], by linear interpolation."""
     xs = np.asarray(grid, dtype=np.float64)

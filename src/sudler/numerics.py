@@ -13,14 +13,10 @@ reference for that kernel.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 CHUNK = 1 << 16  # fixed block size of the array kernels; no result depends on it
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker split constant
-
-LOG_TWO_PI = math.log(2.0 * math.pi)
 
 
 def _two_sum(a, b):
@@ -63,21 +59,12 @@ def frac_parts_dd(n, a_hi: float, a_lo: float) -> np.ndarray:
 
 
 def kahan_sum(values) -> float:
-    """Neumaier-compensated sum of an iterable of floats."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
+    """Neumaier-compensated sum of an iterable of floats: `kahan_sum_rows` of one row."""
+    return float(kahan_sum_rows(np.fromiter(values, dtype=np.float64)[None, :])[0])
 
 
 def kahan_sum_rows(values: np.ndarray) -> np.ndarray:
-    """kahan_sum of each row of a 2-D array, bit for bit, looping over the columns."""
+    """Neumaier-compensated sum of each row of a 2-D array, adding its columns in order."""
     total = np.zeros(len(values))
     comp = np.zeros(len(values))
     for v in values.T:

@@ -16,8 +16,9 @@ import numpy as np
 
 from .cf import ConvergentTable
 from .cotangent import v_k
-from .errors import BudgetError, RangeError, SudlerError
-from .ostrowski import OstrowskiDigits, b_star, decode, encode, epsilon_profile, n_star, project
+from .errors import BudgetError, RangeError
+from .ostrowski import (OstrowskiDigits, b_star, decode, delta_T_default, encode,
+                        epsilon_profile, n_star, project)
 from .products import (
     DEFAULT_SCAN_BUDGET,
     block_args,
@@ -26,6 +27,7 @@ from .products import (
     log_sudler_shifted,
     scan,
 )
+from .report import PredictionReport, fixture_value
 
 # zeta(2n) / (n (2n + 1)), n = 1..25: the Clausen-series coefficients.  At
 # y = 1/2 the 26th term is below 1e-19.
@@ -138,7 +140,6 @@ class DkTerm:
     b: int
     b_star: int
     main: float
-    quad: float
     regime: str
 
     @property
@@ -156,14 +157,13 @@ def digit_penalty(k: int, a_next: int, b: int) -> DkTerm:
     """Penalty of digit b at position k against b* = b_star(a_{k+1})."""
     star = b_star(a_next)
     main = a_next * log_sin_integral(b / a_next, star / a_next)
-    quad_term = QUADRATIC_CONSTANT * (b - star) ** 2 / a_next
     if 100 * b > 99 * a_next:
         regime = REGIME_OUT
     elif (b - star) ** 2 <= a_next:
         regime = REGIME_QUADRATIC  # both forms apply; main is used
     else:
         regime = REGIME_FORMULA
-    return DkTerm(k, a_next, b, star, main, quad_term, regime)
+    return DkTerm(k, a_next, b, star, main, regime)
 
 
 def d_k_terms(digits: OstrowskiDigits) -> list[DkTerm]:
@@ -204,6 +204,23 @@ def u_n_log(digits: OstrowskiDigits) -> UNValue:
     return UNValue(total, below)
 
 
+def u_n_residuals(table: ConvergentTable, K: int, seed: int, size: int) -> list[float]:
+    """log P_N - log U_N - (the k = 0 block products) over `size` seeded N < q_K.
+
+    N with a digit b_k, k >= 1, above (1 - delta_T(1)) a_{k+1}, near the
+    carry maximum, are skipped.
+    """
+    out = []
+    for N in np.random.default_rng(seed).integers(0, int(table.q[K]), size=size):
+        digits = encode(table, int(N), K=K)
+        if any(b > (1.0 - delta_T_default(1.0)) * table.a[k + 1]
+               for k, b in enumerate(digits.digits) if k):
+            continue
+        un = u_n_log(digits)
+        out.append(log_sudler(table, int(N)).require_nonzero() - un.log_u - un.below_k0_log)
+    return out
+
+
 def e_k_residual(digits: OstrowskiDigits, k: int) -> float:
     """Defect of the block surrogate against the actual shifted block products."""
     if digits.digits[k] == 0:
@@ -215,46 +232,6 @@ def e_k_residual(digits: OstrowskiDigits, k: int) -> float:
 
 
 # --- prediction reports ---
-
-
-@dataclass(frozen=True)
-class PredictionReport:
-    label: str
-    prediction: float
-    observed: float
-    error_budget: float
-    one_sided: bool = False
-
-    @property
-    def residual(self) -> float:
-        # One-sided reports assert observed <= prediction + budget, for cases
-        # where the formula is only an upper bound on the observable.
-        if self.one_sided:
-            return max(0.0, self.observed - self.prediction)
-        return abs(self.prediction - self.observed)
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.error_budget
-
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "prediction": self.prediction,
-            "observed": self.observed,
-            "error_budget": self.error_budget,
-            "one_sided": self.one_sided,
-            "pass": self.passed,
-        }
-
-
-def fixture_value(fixtures: dict, key: str, field: str) -> float:
-    try:
-        return float(fixtures[key][field])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SudlerError(
-            f"calibration fixtures lack a numeric {key}.{field}; run `sudler calibrate`"
-        ) from exc
 
 
 def _fixture_pair(fixtures: dict, key: str) -> tuple[float, float]:
@@ -320,10 +297,11 @@ def lcnorm_prediction(table: ConvergentTable, K: int, fixtures: dict,
                       c_list=()) -> list[PredictionReport]:
     """Predicted c-norms against the log-sum-exp accumulators of one scan.
 
-    One report per c of `c_list`, (0.5, 2, 64) when it is empty; the scan
-    shares its pass over N < q_K between all of them.
+    One report per distinct c of `c_list`, in order of first occurrence, or
+    per c of (0.5, 2, 64) when it is empty; the scan shares its pass over
+    N < q_K between all of them.
     """
-    cs = tuple(float(c) for c in c_list) or (0.5, 2.0, 64.0)
+    cs = tuple(dict.fromkeys(float(c) for c in c_list)) or (0.5, 2.0, 64.0)
     res = scan(table, K, c_list=cs)  # rejects non-positive and non-finite c first
     if not all(0.01 <= c < math.inf for c in cs):
         raise RangeError("c must be finite and >= 0.01")

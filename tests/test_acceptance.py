@@ -15,10 +15,8 @@ from sudler import (
     build_table,
     decode,
     decompose,
-    digamma,
     empirical_limit,
     encode,
-    g_alpha,
     lcnorm_prediction,
     log_sudler_rational,
     pnstar_prediction,
@@ -30,7 +28,8 @@ from sudler import (
     vol41,
 )
 from sudler.calibration import load_fixtures
-from sudler.limitfn import crossing_abscissa
+from sudler.cotangent import v_k_reports
+from sudler.limitfn import a15_curve_sup, crossing_abscissa
 from sudler.ostrowski import enumerate_valid, epsilon_profile
 from sudler.theorems import (
     QUADRATIC_CONSTANT,
@@ -193,21 +192,14 @@ def test_criterion_5_cotangent(fx):
     # frozen envelope at a in {15, 50, 200}; the q_k <= 1e7 cap is part of
     # the criterion, so a=200 has no admissible k >= 4 and contributes only
     # the cap path
-    C = fx["vk_envelope"]["C_cal"]
     checked = 0
     for a in (15, 50, 200):
         t = build_table(f"[0;({a})]", 8)
         for k in range(4, 9):
             if t.q[k] > 10 ** 7:
                 continue
-            delta = float(t.delta[k])
-            for x in (-0.9, -0.5, 0.0, 0.5, 0.9):
-                resid = abs(
-                    v_k(t, k, x) / delta
-                    - (math.log(a / (2 * math.pi)) - digamma(1.0 + x))
-                )
-                shape = (1 + 2 * math.log(a)) / ((1 - abs(x)) * a)
-                c.check(f"envelope a={a} k={k} x={x}", resid <= C * shape)
+            for r in v_k_reports(t, k, (-0.9, -0.5, 0.0, 0.5, 0.9), fx):
+                c.check(f"envelope a={a} {r.label}", r.passed)
                 checked += 1
     c.check("envelope coverage", checked >= 15)
     c.finish()
@@ -215,12 +207,8 @@ def test_criterion_5_cotangent(fx):
 
 def test_criterion_6_limit_functions(fx):
     c = _Criterion(6, "limit functions", 300.0)
+    c.check("fig1/fig3 sup vs closed form", a15_curve_sup(4) <= fx["limit_curve"]["a15_k4_sup"])
     t15 = build_table("[0;(15)]", 6)
-    grid = np.round(np.arange(-0.95, 0.9501, 0.01), 10)
-    closed = g_alpha(15, grid)
-    curve4 = empirical_limit(t15, 4, grid)
-    c.check("fig1/fig3 sup vs closed form",
-            float(np.max(np.abs(curve4 - closed))) <= fx["limit_curve"]["a15_k4_sup"])
     # curve stability between k=4 and k=6 (q_6 = 1.165e7 needs the budget
     # override; the 1e-3 sup-norm bound is the criterion itself)
     coarse = np.round(np.arange(-0.95, 0.9501, 0.05), 10)

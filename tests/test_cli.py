@@ -174,25 +174,27 @@ def test_fixture_serialization_deterministic(tmp_path):
 
 def test_calibration_entries_deterministic():
     # component calibrations are pure; two runs agree exactly
-    from sudler.calibration import LAW_FITS, _fit_law, _vk_envelopes
+    from sudler.calibration import LAW_FITS, _fit_law, _vk_fit
 
-    assert _vk_envelopes() == _vk_envelopes()
+    assert _vk_fit(True, (0.0, 1.5)) == _vk_fit(True, (0.0, 1.5))
     theorem3 = next(row for row in LAW_FITS if row[0] == "theorem3")
     assert _fit_law(*theorem3) == _fit_law(*theorem3)
 
 
-def test_calibrated_theorem_constants_match_fixtures(fixtures):
-    # calibrate() fits each law through the report code that verify runs; its
-    # theorem constants stay close to the frozen ones, and it writes exactly
-    # the file's groups and keys.
+def test_calibrated_constants_match_fixtures(fixtures):
+    # calibrate() fits every group through the function that its check calls;
+    # it writes exactly the file's groups and keys, and each constant stays
+    # within 1e-8 relative of the frozen one.  limit_curve.a15_k6_sup, which
+    # only the benchmark's limit_curves workload reads, was frozen before the
+    # product kernels last changed; it drifts 2.75e-6 and is held at 1e-5.
     fitted = calibration.calibrate()
     assert fitted.keys() == fixtures.keys()
     for group, entries in fixtures.items():
         if isinstance(entries, dict):
             assert fitted[group].keys() == entries.keys(), group
-    for law in ("theorem1", "theorem2", "theorem3"):
-        for name, value in fixtures[law].items():
-            assert fitted[law][name] == pytest.approx(value, rel=1e-8), (law, name)
+            for name, value in entries.items():
+                rel = 1e-5 if (group, name) == ("limit_curve", "a15_k6_sup") else 1e-8
+                assert fitted[group][name] == pytest.approx(value, rel=rel), (group, name)
 
 
 def test_fixture_schema(fixtures):
@@ -248,11 +250,20 @@ def test_theorem3_beyond_scan_budget_exits_1(capsys):
     assert "exceeds scan budget" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("suite", ["theorem1", "theorem2", "theorem3"])
+@pytest.mark.parametrize("suite", ["theorem1", "theorem2", "theorem3", "decomp"])
 @pytest.mark.parametrize("K", ["0", "-1"])
 def test_theorem_suite_k_below_1_names_flag(capsys, suite, K):
+    # Every suite that reads --K, decomp too, names the flag before building a table.
     assert main(["verify", "--suite", suite, "--alpha", "[0;(10)]", f"--K={K}"]) == 1
     assert capsys.readouterr().err == f"error: --K must be >= 1, got {K}\n"
+
+
+def test_theorem2_repeated_c_reports_once(capsys):
+    assert main(["verify", "--suite", "theorem2", "--alpha", "[0;(30)]", "--K", "3",
+                 "--c", "2,2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("lcnorm K=3 c=2.0: ")
+    assert lines[1] == "suite theorem2: PASS (1/1)"
 
 
 def _imported_modules(node):

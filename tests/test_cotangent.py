@@ -18,6 +18,7 @@ from sudler import (
     v_k_star,
     vasyunin,
 )
+from sudler.cotangent import v_k_reports
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -60,8 +61,8 @@ class TestVasyunin:
         # |t - round t| < 1e-12 rule let it through), 1e-8 off is not
         for sign in (1, -1):
             with pytest.raises(PoleError):
-                vasyunin(2, 5, x=sign * (1.0 + 1e-11), parity_sign=sign)
-            assert math.isfinite(vasyunin(2, 5, x=sign * (1.0 + 1e-8), parity_sign=sign))
+                vasyunin(2, 5, x=sign * (1.0 + 1e-11))  # n = 2 and n = 3
+            assert math.isfinite(vasyunin(2, 5, x=sign * (1.0 + 1e-8)))
 
     def test_gcd_guard(self):
         with pytest.raises(RangeError):
@@ -98,20 +99,23 @@ class TestVk:
 
     def test_envelope_frozen(self, fixtures):
         # lemma (iii) shape with the single constant frozen at a=15
-        C = fixtures["vk_envelope"]["C_cal"]
         for a in (15, 50, 200):
             t = build_table(f"[0;({a})]", 8)
             for k in range(4, 9):
                 if t.q[k] > 10 ** 7:
                     continue
-                delta = float(t.delta[k])
-                for x in (-0.9, -0.5, 0.0, 0.5, 0.9):
-                    resid = abs(
-                        v_k(t, k, x) / delta
-                        - (math.log(a / (2 * math.pi)) - digamma(1.0 + x))
-                    )
-                    shape = (1 + 2 * math.log(a)) / ((1 - abs(x)) * a)
-                    assert resid <= C * shape
+                reports = v_k_reports(t, k, (-0.9, -0.5, 0.0, 0.5, 0.9), fixtures)
+                assert all(r.passed for r in reports), (a, k)
+
+    def test_reports_read_v_k_and_the_envelope(self):
+        t = build_table("[0;(15)]", 5)
+        delta, log_a = float(t.delta[4]), math.log(15)
+        for starred, s, x in ((False, 1.0, -0.6), (True, 2.0, 1.5)):
+            key = "vk_star_envelope" if starred else "vk_envelope"
+            (r,) = v_k_reports(t, 4, [x], {key: {"C_cal": 2.0}}, starred=starred)
+            assert r.observed == (v_k_star if starred else v_k)(t, 4, x) / delta
+            assert r.prediction == math.log(15 / (2 * math.pi)) - digamma(s + x)
+            assert r.error_budget == pytest.approx(2.0 * (1 + 2 * log_a) / ((s - abs(x)) * 15))
 
     def test_main_term_x0(self):
         t = build_table("[0;(15)]", 5)
@@ -292,18 +296,11 @@ class TestVkStar:
         assert abs(near_pole) > 10 * abs(star)
 
     def test_starred_envelope_frozen(self, fixtures):
-        C = fixtures["vk_star_envelope"]["C_cal"]
         for a, ks in ((15, (4, 5)), (50, (4,))):
             t = build_table(f"[0;({a})]", 8)
             for k in ks:
-                delta = float(t.delta[k])
-                for x in (-1.5, 0.0, 1.5):
-                    resid = abs(
-                        v_k_star(t, k, x) / delta
-                        - (math.log(a / (2 * math.pi)) - digamma(2.0 + x))
-                    )
-                    shape = (1 + 2 * math.log(a)) / ((2 - abs(x)) * a)
-                    assert resid <= C * shape
+                reports = v_k_reports(t, k, (-1.5, 0.0, 1.5), fixtures, starred=True)
+                assert all(r.passed for r in reports), (a, k)
 
     def test_domain(self, tables):
         with pytest.raises(RangeError):

