@@ -36,9 +36,9 @@ from .products import (
     reflection_rhs,
     scan,
 )
-from .report import PredictionReport
 from .theorems import (
     DkTerm,
+    PredictionReport,
     bernoulli_b2_integrals,
     d_k_terms,
     lcnorm_prediction,

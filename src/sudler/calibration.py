@@ -18,10 +18,10 @@ import re
 
 from . import serialize
 from .cf import build_table
-from .cotangent import v_k_reports
 from .errors import SudlerError
 from .limitfn import a15_curve_sup
-from .theorems import lcnorm_prediction, pnstar_prediction, theorem1_check, u_n_residuals
+from .theorems import (lcnorm_prediction, pnstar_prediction, theorem1_check, u_n_residuals,
+                       v_k_reports)
 
 MARGIN = 1.5
 
@@ -102,7 +102,8 @@ def _band_fit(resids) -> dict:
 _UNIT = {"C_cal": 1.0, "C_alpha": 0.0}
 
 
-def _vk_fit(starred: bool, xs) -> dict:  # the V_k or V_k* envelope at a = 15, k = 4 and 5
+def _vk_fit(starred: bool) -> dict:  # the V_k or V_k* envelope at a = 15, k = 4 and 5
+    xs = (-1.5, -0.75, 0.0, 0.75, 1.5) if starred else (-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9)
     table = build_table("[0;(15)]", 5)
     unit = {"vk_envelope": _UNIT, "vk_star_envelope": _UNIT}
     return _envelope_fit([r for k in (4, 5) for r in v_k_reports(table, k, xs, unit, starred)])
@@ -127,8 +128,8 @@ def calibrate(out_path: str | None = None) -> dict:
     """Compute all frozen constants from the current kernels."""
     fixtures = {
         "schema_version": serialize.SCHEMA_VERSION,
-        "vk_envelope": _vk_fit(False, (-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9)),
-        "vk_star_envelope": _vk_fit(True, (-1.5, -0.75, 0.0, 0.75, 1.5)),
+        "vk_envelope": _vk_fit(False),
+        "vk_star_envelope": _vk_fit(True),
         "limit_curve": {f"a15_k{k}_sup": 1.3 * a15_curve_sup(k) for k in (4, 6)},
         **{law: _fit_law(law, *row) for law, *row in LAW_FITS},
         "un_residual": _band_fit(u_n_residuals(build_table("[0;(20)]", 5), 4, seed=20, size=60)),

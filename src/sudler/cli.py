@@ -22,10 +22,11 @@ from .limitfn import (DEFAULT_CURVE_BUDGET, a15_curve_sup, crossing_abscissa, em
                       g_alpha, g_alpha_r)
 from .ostrowski import decode, encode, epsilon_profile
 from .products import DEFAULT_SCAN_BUDGET, DEFAULT_TOP_M, decompose, decompose_all, scan
-from .report import PredictionReport, fixture_value
 from .theorems import (
+    PredictionReport,
     bernoulli_b2_closed_forms,
     bernoulli_b2_integrals,
+    fixture_value,
     lcnorm_prediction,
     pnstar_prediction,
     theorem1_check,

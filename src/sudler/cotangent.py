@@ -15,7 +15,6 @@ import numpy as np
 from .cf import ConvergentTable, _residues, _signed_residues
 from .errors import BudgetError, PoleError, RangeError
 from .numerics import _NEAR_T, CHUNK, _power_sums, kahan_sum_rows
-from .report import PredictionReport, fixture_value
 
 COTANGENT_BUDGET = 10 ** 7
 
@@ -182,19 +181,3 @@ def v_k_main_term(table: ConvergentTable, k: int, x: float,
     if not 1 <= k <= table.K_max:
         raise RangeError(f"k={k} outside [1, {table.K_max}]")
     return float(table.delta[k]) * _main_term(table.a[k], 2.0 if starred else 1.0, x)
-
-
-def v_k_reports(table: ConvergentTable, k: int, xs, fixtures: dict,
-                starred: bool = False) -> list[PredictionReport]:
-    """V_k(x)/delta_k against log(a_k / 2 pi) - psi(s + x), one report per x of xs.
-
-    s = 1, or 2 for V_k*.  The budget C (1 + 2 log a_k)/((s - |x|) a_k) reads
-    C_cal from the vk_envelope group, or vk_star_envelope for V_k*.
-    """
-    s = 2.0 if starred else 1.0
-    C = fixture_value(fixtures, "vk_star_envelope" if starred else "vk_envelope", "C_cal")
-    values = (v_k_star if starred else v_k)(table, k, xs)  # checks k and xs
-    a_k, delta = int(table.a[k]), float(table.delta[k])
-    return [PredictionReport(f"{'V*' if starred else 'V'}_{k}(x={x:g})", _main_term(a_k, s, x),
-                             v / delta, C * ((1.0 + 2.0 * math.log(a_k)) / ((s - abs(x)) * a_k)))
-            for x, v in zip(xs, values)]

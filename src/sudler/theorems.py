@@ -15,8 +15,8 @@ import mpmath
 import numpy as np
 
 from .cf import ConvergentTable
-from .cotangent import v_k
-from .errors import BudgetError, RangeError
+from .cotangent import _main_term, v_k, v_k_star
+from .errors import BudgetError, RangeError, SudlerError
 from .ostrowski import (OstrowskiDigits, b_star, decode, delta_T_default, encode,
                         epsilon_profile, n_star, project)
 from .products import (
@@ -27,7 +27,6 @@ from .products import (
     log_sudler_shifted,
     scan,
 )
-from .report import PredictionReport, fixture_value
 
 # zeta(2n) / (n (2n + 1)), n = 1..25: the Clausen-series coefficients.  At
 # y = 1/2 the 26th term is below 1e-19.
@@ -232,6 +231,62 @@ def e_k_residual(digits: OstrowskiDigits, k: int) -> float:
 
 
 # --- prediction reports ---
+
+
+@dataclass(frozen=True)
+class PredictionReport:
+    label: str
+    prediction: float
+    observed: float
+    error_budget: float
+    one_sided: bool = False
+
+    @property
+    def residual(self) -> float:
+        # One-sided reports assert observed <= prediction + budget, for cases
+        # where the formula is only an upper bound on the observable.
+        if self.one_sided:
+            return max(0.0, self.observed - self.prediction)
+        return abs(self.prediction - self.observed)
+
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.error_budget
+
+    def as_dict(self) -> dict:
+        return {
+            "label": self.label,
+            "prediction": self.prediction,
+            "observed": self.observed,
+            "error_budget": self.error_budget,
+            "one_sided": self.one_sided,
+            "pass": self.passed,
+        }
+
+
+def fixture_value(fixtures: dict, key: str, field: str) -> float:
+    try:
+        return float(fixtures[key][field])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SudlerError(
+            f"calibration fixtures lack a numeric {key}.{field}; run `sudler calibrate`"
+        ) from exc
+
+
+def v_k_reports(table: ConvergentTable, k: int, xs, fixtures: dict,
+                starred: bool = False) -> list[PredictionReport]:
+    """V_k(x)/delta_k against log(a_k / 2 pi) - psi(s + x), one report per x of xs.
+
+    s = 1, or 2 for V_k*.  The budget C (1 + 2 log a_k)/((s - |x|) a_k) reads
+    C_cal from the vk_envelope group, or vk_star_envelope for V_k*.
+    """
+    s = 2.0 if starred else 1.0
+    C = fixture_value(fixtures, "vk_star_envelope" if starred else "vk_envelope", "C_cal")
+    values = (v_k_star if starred else v_k)(table, k, xs)  # checks k and xs
+    a_k, delta = int(table.a[k]), float(table.delta[k])
+    return [PredictionReport(f"{'V*' if starred else 'V'}_{k}(x={x:g})", _main_term(a_k, s, x),
+                             v / delta, C * ((1.0 + 2.0 * math.log(a_k)) / ((s - abs(x)) * a_k)))
+            for x, v in zip(xs, values)]
 
 
 def _fixture_pair(fixtures: dict, key: str) -> tuple[float, float]:

@@ -28,7 +28,6 @@ from sudler import (
     vol41,
 )
 from sudler.calibration import load_fixtures
-from sudler.cotangent import v_k_reports
 from sudler.limitfn import a15_curve_sup, crossing_abscissa
 from sudler.ostrowski import enumerate_valid, epsilon_profile
 from sudler.theorems import (
@@ -36,6 +35,7 @@ from sudler.theorems import (
     bernoulli_b2_closed_forms,
     bernoulli_b2_integrals,
     quadratic_slope_estimate,
+    v_k_reports,
 )
 
 from conftest import TEST_SPECS

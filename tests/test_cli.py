@@ -176,7 +176,8 @@ def test_calibration_entries_deterministic():
     # component calibrations are pure; two runs agree exactly
     from sudler.calibration import LAW_FITS, _fit_law, _vk_fit
 
-    assert _vk_fit(True, (0.0, 1.5)) == _vk_fit(True, (0.0, 1.5))
+    assert _vk_fit(False) == _vk_fit(False)
+    assert _vk_fit(True) == _vk_fit(True)
     theorem3 = next(row for row in LAW_FITS if row[0] == "theorem3")
     assert _fit_law(*theorem3) == _fit_law(*theorem3)
 

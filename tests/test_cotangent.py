@@ -18,7 +18,7 @@ from sudler import (
     v_k_star,
     vasyunin,
 )
-from sudler.cotangent import v_k_reports
+from sudler.theorems import v_k_reports
 
 EULER_GAMMA = 0.5772156649015329
 
